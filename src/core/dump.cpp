@@ -438,7 +438,7 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
     int my_min = keff;
     for (const auto& entry : manifest.entries) {
       if (!seen.insert(entry.fp).second) continue;
-      const ReplicaHealthSet::Entry* h = health.find(entry.fp);
+      const HealthEntry* h = health.find(entry.fp);
       const int achieved =
           h == nullptr ? 0 : std::min(static_cast<int>(h->count), keff);
       my_min = std::min(my_min, achieved);

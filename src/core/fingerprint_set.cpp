@@ -1,10 +1,11 @@
 #include "core/fingerprint_set.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "kernels/kernels.hpp"
 
@@ -26,80 +27,47 @@ struct FpLimbs {
 
 std::uint64_t load_be64(const std::uint8_t* p) noexcept {
   std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | p[i];
-  return v;
+  std::memcpy(&v, p, sizeof v);
+  return __builtin_bswap64(v);
 }
 
-std::uint32_t load_be32(const std::uint8_t* p) noexcept {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) |
-         static_cast<std::uint32_t>(p[3]);
+FpLimbs load_limbs(const std::uint8_t* p) noexcept {
+  std::uint32_t w2 = 0;
+  std::memcpy(&w2, p + 16, sizeof w2);
+  return {load_be64(p), load_be64(p + 8), __builtin_bswap32(w2)};
 }
 
-void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
-  for (int i = 7; i >= 0; --i) {
-    p[i] = static_cast<std::uint8_t>(v);
-    v >>= 8;
-  }
+void store_limbs(std::uint8_t* p, const FpLimbs& l) noexcept {
+  const std::uint64_t w0 = __builtin_bswap64(l.w0);
+  const std::uint64_t w1 = __builtin_bswap64(l.w1);
+  const std::uint32_t w2 = __builtin_bswap32(l.w2);
+  std::memcpy(p, &w0, sizeof w0);
+  std::memcpy(p + 8, &w1, sizeof w1);
+  std::memcpy(p + 16, &w2, sizeof w2);
 }
 
-void store_be32(std::uint8_t* p, std::uint32_t v) noexcept {
-  p[0] = static_cast<std::uint8_t>(v >> 24);
-  p[1] = static_cast<std::uint8_t>(v >> 16);
-  p[2] = static_cast<std::uint8_t>(v >> 8);
-  p[3] = static_cast<std::uint8_t>(v);
-}
-
-FpLimbs to_limbs(const hash::Fingerprint& fp) noexcept {
-  const auto b = fp.bytes();
-  return {load_be64(b.data()), load_be64(b.data() + 8),
-          load_be32(b.data() + 16)};
-}
-
-// delta = a - b over the 160-bit big-endian integers, limb-at-a-time
-// with borrow propagation (the byte loop this replaces was a hot spot of
+// a - b over the 160-bit integers, limb-at-a-time with borrow
+// propagation (the byte loop this replaces was a hot spot of
 // serialization at large F).
-std::array<std::uint8_t, kFpBytes> fp_sub(const hash::Fingerprint& a,
-                                          const hash::Fingerprint& b) {
-  const FpLimbs la = to_limbs(a);
-  const FpLimbs lb = to_limbs(b);
-  const std::uint32_t d2 = la.w2 - lb.w2;
-  std::uint64_t borrow = la.w2 < lb.w2 ? 1 : 0;
-  std::uint64_t d1 = 0;
-  std::uint64_t borrow1 = 0;
-  borrow1 = __builtin_sub_overflow(la.w1, lb.w1, &d1) ? 1 : 0;
-  borrow1 += __builtin_sub_overflow(d1, borrow, &d1) ? 1 : 0;
-  const std::uint64_t d0 = la.w0 - lb.w0 - borrow1;
-  std::array<std::uint8_t, kFpBytes> delta{};
-  store_be64(delta.data(), d0);
-  store_be64(delta.data() + 8, d1);
-  store_be32(delta.data() + 16, d2);
-  return delta;
+FpLimbs limbs_sub(const FpLimbs& a, const FpLimbs& b) noexcept {
+  FpLimbs d{};
+  d.w2 = a.w2 - b.w2;
+  const std::uint64_t borrow2 = a.w2 < b.w2 ? 1 : 0;
+  std::uint64_t borrow1 = __builtin_sub_overflow(a.w1, b.w1, &d.w1) ? 1 : 0;
+  borrow1 += __builtin_sub_overflow(d.w1, borrow2, &d.w1) ? 1 : 0;
+  d.w0 = a.w0 - b.w0 - borrow1;
+  return d;
 }
 
-// base += delta (big-endian); returns the carry out of the top limb.
-int fp_add(hash::Fingerprint& base,
-           const std::array<std::uint8_t, kFpBytes>& delta) {
-  const FpLimbs lb = to_limbs(base);
-  const std::uint64_t d0 = load_be64(delta.data());
-  const std::uint64_t d1 = load_be64(delta.data() + 8);
-  const std::uint32_t d2 = load_be32(delta.data() + 16);
-  const std::uint32_t s2 = lb.w2 + d2;
-  std::uint64_t carry = s2 < lb.w2 ? 1 : 0;
-  std::uint64_t s1 = 0;
-  std::uint64_t carry1 = 0;
-  carry1 = __builtin_add_overflow(lb.w1, d1, &s1) ? 1 : 0;
-  carry1 += __builtin_add_overflow(s1, carry, &s1) ? 1 : 0;
-  std::uint64_t s0 = 0;
-  std::uint64_t carry0 = 0;
-  carry0 = __builtin_add_overflow(lb.w0, d0, &s0) ? 1 : 0;
-  carry0 += __builtin_add_overflow(s0, carry1, &s0) ? 1 : 0;
-  const auto bytes = base.bytes();
-  store_be64(bytes.data(), s0);
-  store_be64(bytes.data() + 8, s1);
-  store_be32(bytes.data() + 16, s2);
-  return static_cast<int>(carry0);
+// sum = a + b; returns the carry out of the top limb.
+bool limbs_add(const FpLimbs& a, const FpLimbs& b, FpLimbs& sum) noexcept {
+  sum.w2 = a.w2 + b.w2;
+  const std::uint64_t carry2 = sum.w2 < a.w2 ? 1 : 0;
+  std::uint64_t carry1 = __builtin_add_overflow(a.w1, b.w1, &sum.w1) ? 1 : 0;
+  carry1 += __builtin_add_overflow(sum.w1, carry2, &sum.w1) ? 1 : 0;
+  bool carry0 = __builtin_add_overflow(a.w0, b.w0, &sum.w0);
+  carry0 |= __builtin_add_overflow(sum.w0, carry1, &sum.w0);
+  return carry0;
 }
 
 // Order-preserving 64-bit prefix of a fingerprint: the first 8 bytes
@@ -110,10 +78,86 @@ std::uint64_t prefix_key(const hash::Fingerprint& fp) noexcept {
   return load_be64(fp.bytes().data());
 }
 
+// ---- The flat-set engine ----------------------------------------------------
+// Both sets are an fp-sorted vector of fixed-size entries whose rank lists
+// are slices of one shared pool.  FlatTraits names, per entry type, the
+// pool slice and the varint fields the archive carries between the
+// fingerprint delta and the rank list; everything below is shared.
+
+template <class E>
+struct FlatTraits;
+
+template <>
+struct FlatTraits<FpEntry> {
+  static constexpr const char* kName = "BoundedFpSet";
+  static constexpr auto kOff = &FpEntry::rank_off;
+  static constexpr auto kLen = &FpEntry::rank_len;
+  static constexpr std::size_t kFields = 1;    // freq
+  static constexpr std::size_t kMinRanks = 1;  // >= one designated rank
+  static void put_fields(simmpi::OArchive& ar, const FpEntry& e) {
+    ar.put_varint(e.freq);
+  }
+  static void get_fields(simmpi::IArchive& ar, FpEntry& e) {
+    e.freq = static_cast<std::uint32_t>(ar.get_varint());
+  }
+};
+
+template <>
+struct FlatTraits<HealthEntry> {
+  static constexpr const char* kName = "ReplicaHealthSet";
+  static constexpr auto kOff = &HealthEntry::holder_off;
+  static constexpr auto kLen = &HealthEntry::holder_len;
+  static constexpr std::size_t kFields = 2;    // count, length
+  static constexpr std::size_t kMinRanks = 0;  // satisfied: no holders
+  static void put_fields(simmpi::OArchive& ar, const HealthEntry& e) {
+    ar.put_varint(e.count);
+    ar.put_varint(e.length);
+  }
+  static void get_fields(simmpi::IArchive& ar, HealthEntry& e) {
+    e.count = static_cast<std::uint32_t>(ar.get_varint());
+    e.length = static_cast<std::uint32_t>(ar.get_varint());
+  }
+};
+
+[[noreturn]] void corrupt(const char* set, const char* what) {
+  throw std::runtime_error(std::string(set) + ": " + what);
+}
+
+// Sorts appended entries by fingerprint and rejects duplicates.
+template <class E>
+void seal_entries(std::vector<E>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const E& a, const E& b) { return a.fp < b.fp; });
+  const auto dup = std::adjacent_find(
+      entries.begin(), entries.end(),
+      [](const E& a, const E& b) { return a.fp == b.fp; });
+  if (dup != entries.end()) {
+    throw std::logic_error(std::string(FlatTraits<E>::kName) +
+                           ": duplicate local fingerprint");
+  }
+}
+
+template <class E>
+const E* find_entry(const std::vector<E>& entries, const hash::Fingerprint& fp) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), fp,
+      [](const E& e, const hash::Fingerprint& key) { return e.fp < key; });
+  if (it == entries.end() || it->fp != fp) return nullptr;
+  return &*it;
+}
+
+template <class E>
+std::size_t live_ranks(const std::vector<E>& entries) {
+  std::size_t n = 0;
+  for (const E& e : entries) n += e.*FlatTraits<E>::kLen;
+  return n;
+}
+
 // Fills `keys` with the prefix key of every entry.  Returns false when
 // two adjacent (fp-sorted) entries collide on the prefix — then the keys
 // are not strictly ascending and the hmerge kernel precondition fails.
-bool build_keys(const std::vector<FpEntry>& entries,
+template <class E>
+bool build_keys(const std::vector<E>& entries,
                 std::vector<std::uint64_t>& keys) {
   keys.resize(entries.size());
   bool strict = true;
@@ -125,6 +169,227 @@ bool build_keys(const std::vector<FpEntry>& entries,
     prev = k;
   }
   return strict;
+}
+
+// Plans the merge of two sealed entry vectors as a tag string (take-A,
+// take-B, match) and returns its length.  The dispatched hmerge kernel
+// plans over prefix keys; when either input holds two fingerprints that
+// share their first 8 bytes its precondition fails, and a full-
+// fingerprint two-pointer pass writes the same tag alphabet instead.
+template <class E>
+std::size_t plan_merge(const std::vector<E>& a, const std::vector<E>& b,
+                       std::vector<std::uint8_t>& tags) {
+  tags.resize(a.size() + b.size());
+  std::vector<std::uint64_t> ka;
+  std::vector<std::uint64_t> kb;
+  if (build_keys(a, ka) && build_keys(b, kb)) {
+    return kernels::dispatch()
+        .hmerge(ka.data(), ka.size(), kb.data(), kb.size(), tags.data())
+        .out_len;
+  }
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  std::size_t t = 0;
+  while (ia < a.size() && ib < b.size()) {
+    if (a[ia].fp < b[ib].fp) {
+      tags[t++] = kernels::kHmergeTakeA;
+      ++ia;
+    } else if (b[ib].fp < a[ia].fp) {
+      tags[t++] = kernels::kHmergeTakeB;
+      ++ib;
+    } else {
+      tags[t++] = kernels::kHmergeMatch;
+      ++ia;
+      ++ib;
+    }
+  }
+  for (; ia < a.size(); ++ia) tags[t++] = kernels::kHmergeTakeA;
+  for (; ib < b.size(); ++ib) tags[t++] = kernels::kHmergeTakeB;
+  return t;
+}
+
+// Folds the sealed (`b`, `b_pool`) into the sealed (`a`, `a_pool`) along a
+// plan_merge() tag string.  Take-runs become one bulk entry copy each (the
+// entry payload moves without being inspected; only pool slices are
+// relocated), and `reconcile(ea, ranks_a, eb, ranks_b, pool)` runs only on
+// matched entries: it appends the merged rank list to `pool` and returns
+// the merged entry, whose pool slice is filled in here.  A match tag
+// certifies equal *prefixes*; the full fingerprints are compared here and
+// a cross-input prefix collision emits both entries, fingerprint-
+// ascending, instead of fusing them.
+template <class E, class Reconcile>
+void merge_flat(std::vector<E>& a, std::vector<std::int32_t>& a_pool,
+                const std::vector<E>& b, const std::vector<std::int32_t>& b_pool,
+                Reconcile&& reconcile) {
+  using T = FlatTraits<E>;
+  std::vector<std::uint8_t> tags;
+  const std::size_t out_len = plan_merge(a, b, tags);
+
+  std::vector<E> merged;
+  merged.reserve(a.size() + b.size());
+  std::vector<std::int32_t> pool;
+  pool.reserve(live_ranks(a) + live_ranks(b));
+
+  const auto slice = [](const std::vector<std::int32_t>& src_pool,
+                        const E& e) {
+    return std::span<const std::int32_t>(src_pool.data() + e.*T::kOff,
+                                         e.*T::kLen);
+  };
+  const auto copy_run = [&](const std::vector<E>& src,
+                            const std::vector<std::int32_t>& src_pool,
+                            std::size_t first, std::size_t len) {
+    const std::size_t at = merged.size();
+    merged.insert(merged.end(), src.begin() + first, src.begin() + first + len);
+    for (std::size_t t = 0; t < len; ++t) {
+      E& e = merged[at + t];
+      const auto r = slice(src_pool, e);
+      e.*T::kOff = static_cast<std::uint32_t>(pool.size());
+      pool.insert(pool.end(), r.begin(), r.end());
+    }
+  };
+
+  std::size_t ia = 0;
+  std::size_t ib = 0;
+  std::size_t t = 0;
+  while (t < out_len) {
+    const std::uint8_t tag = tags[t];
+    std::size_t run = 1;
+    while (t + run < out_len && tags[t + run] == tag) ++run;
+    t += run;
+    if (tag == kernels::kHmergeTakeA) {
+      copy_run(a, a_pool, ia, run);
+      ia += run;
+      continue;
+    }
+    if (tag == kernels::kHmergeTakeB) {
+      copy_run(b, b_pool, ib, run);
+      ib += run;
+      continue;
+    }
+    for (std::size_t x = 0; x < run; ++x, ++ia, ++ib) {
+      const E& ea = a[ia];
+      const E& eb = b[ib];
+      if (ea.fp < eb.fp) {
+        copy_run(a, a_pool, ia, 1);
+        copy_run(b, b_pool, ib, 1);
+        continue;
+      }
+      if (eb.fp < ea.fp) {
+        copy_run(b, b_pool, ib, 1);
+        copy_run(a, a_pool, ia, 1);
+        continue;
+      }
+      const std::size_t off = pool.size();
+      E out = reconcile(ea, slice(a_pool, ea), eb, slice(b_pool, eb), pool);
+      out.*T::kOff = static_cast<std::uint32_t>(off);
+      out.*T::kLen = static_cast<std::uint32_t>(pool.size() - off);
+      merged.push_back(out);
+    }
+  }
+
+  a = std::move(merged);
+  a_pool = std::move(pool);
+}
+
+// Entry stream shared by both sets' archives (canonical: entries
+// fingerprint-ascending, so equal sets serialize to identical bytes):
+//   u64 entry count, then per entry, delta-coded against the previous
+//   fingerprint:
+//     u8 lead  — zero bytes before the significant delta run
+//     u8 len   — significant delta bytes (big-endian); trailing zeros
+//                implied (u64-derived fingerprints have 12 of them)
+//     len raw bytes, the set's varint fields (FlatTraits::put_fields),
+//     varint rank count, varint first rank then varint rank deltas
+//     (lists are sorted).
+template <class E>
+void save_entries(simmpi::OArchive& ar, const std::vector<E>& entries,
+                  const std::vector<std::int32_t>& pool) {
+  using T = FlatTraits<E>;
+  ar.put_size(entries.size());
+  // One reservation covers the worst case of the whole entry stream: 2
+  // header bytes + full fingerprint + 5 bytes per field and for the rank
+  // count, 5 bytes per rank.
+  ar.reserve(entries.size() * (2 + kFpBytes + 5 * (T::kFields + 1)) +
+             live_ranks(entries) * 5);
+
+  FpLimbs prev{};
+  for (const E& e : entries) {
+    const FpLimbs cur = load_limbs(e.fp.bytes().data());
+    std::uint8_t delta[kFpBytes];
+    store_limbs(delta, limbs_sub(cur, prev));
+    std::size_t lead = 0;
+    while (lead < kFpBytes && delta[lead] == 0) ++lead;
+    std::size_t last = kFpBytes;
+    while (last > lead && delta[last - 1] == 0) --last;
+    const std::size_t len = last - lead;  // 0 only for an all-zero delta
+    // One buffer append for the fixed-layout head (lead, len, delta run)
+    // instead of three; the varints batch their bytes internally.
+    std::uint8_t head[2 + kFpBytes];
+    head[0] = static_cast<std::uint8_t>(lead);
+    head[1] = static_cast<std::uint8_t>(len);
+    std::memcpy(head + 2, delta + lead, len);
+    ar.write_raw(head, 2 + len);
+    T::put_fields(ar, e);
+    const std::uint32_t n = e.*T::kLen;
+    ar.put_varint(n);
+    std::uint32_t prev_rank = 0;  // unsigned, like the decoder's sum
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const auto rank = static_cast<std::uint32_t>(pool[e.*T::kOff + j]);
+      ar.put_varint(rank - prev_rank);
+      prev_rank = rank;
+    }
+    prev = cur;
+  }
+}
+
+// Decodes save_entries() output.  Every length is checked against the
+// bytes left before anything is sized from it, and corrupt input —
+// truncation, an overlong delta, a carry out of 160 bits, fingerprints not
+// strictly ascending — throws std::runtime_error.
+template <class E>
+void load_entries(simmpi::IArchive& ar, std::vector<E>& entries,
+                  std::vector<std::int32_t>& pool) {
+  using T = FlatTraits<E>;
+  // Smallest encoded entry: lead, len, one byte per varint field, and the
+  // rank-count varint.
+  const std::size_t count = ar.get_count(2 + T::kFields + 1);
+  entries.clear();
+  entries.reserve(count);
+  pool.clear();
+  pool.reserve(count * T::kMinRanks);
+
+  FpLimbs prev{};
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint8_t head[2];  // lead, len
+    ar.read_raw(head, sizeof head);
+    if (head[0] + head[1] > static_cast<int>(kFpBytes)) {
+      corrupt(T::kName, "corrupt fingerprint delta");
+    }
+    std::uint8_t delta[kFpBytes] = {};
+    ar.read_raw(delta + head[0], head[1]);
+    const FpLimbs d = load_limbs(delta);
+    FpLimbs cur{};
+    if (limbs_add(prev, d, cur)) {
+      corrupt(T::kName, "corrupt fingerprint delta");
+    }
+    if (i > 0 && (d.w0 | d.w1 | d.w2) == 0) {
+      corrupt(T::kName, "fingerprints not ascending");
+    }
+    E e{};
+    store_limbs(e.fp.bytes().data(), cur);
+    T::get_fields(ar, e);
+    const std::uint64_t n = ar.get_varint();
+    if (n > ar.remaining()) corrupt(T::kName, "corrupt rank list");
+    e.*T::kOff = static_cast<std::uint32_t>(pool.size());
+    e.*T::kLen = static_cast<std::uint32_t>(n);
+    std::uint32_t rank = 0;  // unsigned: corrupt deltas wrap, never UB
+    for (std::uint64_t j = 0; j < n; ++j) {
+      rank += static_cast<std::uint32_t>(ar.get_varint());
+      pool.push_back(static_cast<std::int32_t>(rank));
+    }
+    entries.push_back(e);
+    prev = cur;
+  }
 }
 
 }  // namespace
@@ -150,24 +415,13 @@ void BoundedFpSet::add_local(const hash::Fingerprint& fp, int rank) {
 
 void BoundedFpSet::seal() const {
   if (sealed_) return;
-  std::sort(entries_.begin(), entries_.end(),
-            [](const FpEntry& a, const FpEntry& b) { return a.fp < b.fp; });
-  const auto dup = std::adjacent_find(
-      entries_.begin(), entries_.end(),
-      [](const FpEntry& a, const FpEntry& b) { return a.fp == b.fp; });
-  if (dup != entries_.end()) {
-    throw std::logic_error("BoundedFpSet: duplicate local fingerprint");
-  }
+  seal_entries(entries_);
   sealed_ = true;
 }
 
 const FpEntry* BoundedFpSet::find(const hash::Fingerprint& fp) const {
   seal();
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), fp,
-      [](const FpEntry& e, const hash::Fingerprint& key) { return e.fp < key; });
-  if (it == entries_.end() || it->fp != fp) return nullptr;
-  return &*it;
+  return find_entry(entries_, fp);
 }
 
 std::span<const FpEntry> BoundedFpSet::entries() const {
@@ -249,154 +503,6 @@ void BoundedFpSet::truncate_to_f(MergeStats& stats) {
   entries_.resize(kept);
 }
 
-// Full-fingerprint reference merge.  Also the fallback when either
-// input's prefix keys are not strictly ascending (adjacent fingerprints
-// sharing their first 8 bytes), which the kernel cannot represent.
-void BoundedFpSet::merge_entries_scalar(const BoundedFpSet& other,
-                                        MergeStats& stats) {
-  std::size_t live_ranks = 0;
-  for (const FpEntry& e : entries_) live_ranks += e.rank_len;
-  for (const FpEntry& e : other.entries_) live_ranks += e.rank_len;
-
-  std::vector<FpEntry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::vector<std::int32_t> pool;
-  pool.reserve(live_ranks);
-  std::vector<std::int32_t> scratch;
-
-  const auto copy_entry = [&](const BoundedFpSet& src, const FpEntry& e) {
-    FpEntry out = e;
-    out.rank_off = static_cast<std::uint32_t>(pool.size());
-    const auto r = src.ranks(e);
-    pool.insert(pool.end(), r.begin(), r.end());
-    merged.push_back(out);
-  };
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  while (ia < entries_.size() || ib < other.entries_.size()) {
-    if (ib == other.entries_.size() ||
-        (ia < entries_.size() && entries_[ia].fp < other.entries_[ib].fp)) {
-      copy_entry(*this, entries_[ia++]);
-      continue;
-    }
-    if (ia == entries_.size() || other.entries_[ib].fp < entries_[ia].fp) {
-      copy_entry(other, other.entries_[ib++]);
-      continue;
-    }
-    // Common fingerprint: sum frequencies, union the two sorted rank lists
-    // (disjoint by construction: each rank's fingerprints enter the
-    // reduction exactly once), re-enforce the K bound.
-    const FpEntry& a = entries_[ia++];
-    const FpEntry& b = other.entries_[ib++];
-    scratch.clear();
-    const auto ra = ranks(a);
-    const auto rb = other.ranks(b);
-    std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
-               std::back_inserter(scratch));
-    scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
-    truncate_ranks(scratch, stats);
-
-    FpEntry out;
-    out.fp = a.fp;
-    out.freq = a.freq + b.freq;
-    out.rank_off = static_cast<std::uint32_t>(pool.size());
-    out.rank_len = static_cast<std::uint32_t>(scratch.size());
-    pool.insert(pool.end(), scratch.begin(), scratch.end());
-    merged.push_back(out);
-  }
-
-  entries_ = std::move(merged);
-  rank_pool_ = std::move(pool);
-}
-
-// Applies a tag string produced by the dispatched hmerge kernel over the
-// two inputs' prefix keys: take-runs turn into one bulk entry copy each
-// (the freq/rank payload moves without being inspected), and the scalar
-// reconciliation below runs only on kHmergeMatch positions.  A match tag
-// certifies equal *prefixes*; the full fingerprints are compared here
-// and a cross-input prefix collision emits both entries, fingerprint-
-// ascending, instead of fusing them.
-void BoundedFpSet::merge_entries_kernel(const BoundedFpSet& other,
-                                        const std::uint8_t* tags,
-                                        std::size_t out_len,
-                                        MergeStats& stats) {
-  std::size_t live_ranks = 0;
-  for (const FpEntry& e : entries_) live_ranks += e.rank_len;
-  for (const FpEntry& e : other.entries_) live_ranks += e.rank_len;
-
-  std::vector<FpEntry> merged;
-  merged.reserve(entries_.size() + other.entries_.size());
-  std::vector<std::int32_t> pool;
-  pool.reserve(live_ranks);
-  std::vector<std::int32_t> scratch;
-
-  const auto copy_run = [&](const BoundedFpSet& src, std::size_t first,
-                            std::size_t len) {
-    const std::size_t at = merged.size();
-    merged.insert(merged.end(), src.entries_.begin() + first,
-                  src.entries_.begin() + first + len);
-    for (std::size_t t = 0; t < len; ++t) {
-      FpEntry& e = merged[at + t];
-      const std::uint32_t off = static_cast<std::uint32_t>(pool.size());
-      const auto r = src.ranks(e);
-      pool.insert(pool.end(), r.begin(), r.end());
-      e.rank_off = off;
-    }
-  };
-
-  std::size_t ia = 0;
-  std::size_t ib = 0;
-  std::size_t t = 0;
-  while (t < out_len) {
-    const std::uint8_t tag = tags[t];
-    std::size_t run = 1;
-    while (t + run < out_len && tags[t + run] == tag) ++run;
-    t += run;
-    if (tag == kernels::kHmergeTakeA) {
-      copy_run(*this, ia, run);
-      ia += run;
-      continue;
-    }
-    if (tag == kernels::kHmergeTakeB) {
-      copy_run(other, ib, run);
-      ib += run;
-      continue;
-    }
-    for (std::size_t x = 0; x < run; ++x) {
-      const FpEntry& a = entries_[ia++];
-      const FpEntry& b = other.entries_[ib++];
-      if (a.fp != b.fp) {
-        // Cross-input prefix collision: distinct fingerprints, same
-        // 8-byte prefix.  Both survive, ordered by full fingerprint.
-        const bool a_first = a.fp < b.fp;
-        copy_run(a_first ? *this : other, (a_first ? ia : ib) - 1, 1);
-        copy_run(a_first ? other : *this, (a_first ? ib : ia) - 1, 1);
-        continue;
-      }
-      scratch.clear();
-      const auto ra = ranks(a);
-      const auto rb = other.ranks(b);
-      std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
-                 std::back_inserter(scratch));
-      scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                    scratch.end());
-      truncate_ranks(scratch, stats);
-
-      FpEntry out;
-      out.fp = a.fp;
-      out.freq = a.freq + b.freq;
-      out.rank_off = static_cast<std::uint32_t>(pool.size());
-      out.rank_len = static_cast<std::uint32_t>(scratch.size());
-      pool.insert(pool.end(), scratch.begin(), scratch.end());
-      merged.push_back(out);
-    }
-  }
-
-  entries_ = std::move(merged);
-  rank_pool_ = std::move(pool);
-}
-
 MergeStats BoundedFpSet::merge_from(BoundedFpSet&& other) {
   if (other.k_ != k_ || other.f_cap_ != f_cap_ ||
       other.rank_load_.size() != rank_load_.size()) {
@@ -412,16 +518,26 @@ MergeStats BoundedFpSet::merge_from(BoundedFpSet&& other) {
     rank_load_[i] += other.rank_load_[i];
   }
 
-  std::vector<std::uint64_t> ka;
-  std::vector<std::uint64_t> kb;
-  if (build_keys(entries_, ka) && build_keys(other.entries_, kb)) {
-    std::vector<std::uint8_t> tags(ka.size() + kb.size());
-    const kernels::HmergeResult plan = kernels::dispatch().hmerge(
-        ka.data(), ka.size(), kb.data(), kb.size(), tags.data());
-    merge_entries_kernel(other, tags.data(), plan.out_len, stats);
-  } else {
-    merge_entries_scalar(other, stats);
-  }
+  // Common fingerprint: sum frequencies, union the two sorted rank lists
+  // (disjoint by construction: each rank's fingerprints enter the
+  // reduction exactly once), re-enforce the K bound.
+  std::vector<std::int32_t> scratch;
+  merge_flat(entries_, rank_pool_, other.entries_, other.rank_pool_,
+             [&](const FpEntry& a, std::span<const std::int32_t> ra,
+                 const FpEntry& b, std::span<const std::int32_t> rb,
+                 std::vector<std::int32_t>& pool) {
+               scratch.clear();
+               std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
+                          std::back_inserter(scratch));
+               scratch.erase(std::unique(scratch.begin(), scratch.end()),
+                             scratch.end());
+               truncate_ranks(scratch, stats);
+               pool.insert(pool.end(), scratch.begin(), scratch.end());
+               FpEntry out;
+               out.fp = a.fp;
+               out.freq = a.freq + b.freq;
+               return out;
+             });
   truncate_to_f(stats);
   return stats;
 }
@@ -552,55 +668,15 @@ bool BoundedFpSet::check_invariants() const {
   return counted == rank_load_;
 }
 
-// Wire format (canonical: entries fingerprint-ascending, so equal sets
-// serialize to identical bytes):
-//   header: F, K, nranks, rank_load[], entry count
-//   per entry, delta-coded against the previous fingerprint:
-//     u8 lead  — zero bytes before the significant delta run
-//     u8 len   — significant delta bytes (big-endian); trailing zeros
-//                implied (u64-derived fingerprints have 12 of them)
-//     len raw bytes, varint freq, varint rank count,
-//     varint first rank then varint rank deltas (lists are sorted).
+// Wire format: header F, K, nranks, rank_load[], then the shared entry
+// stream (save_entries) with one varint field, the frequency.
 void save(simmpi::OArchive& ar, const BoundedFpSet& s) {
   s.seal();
   ar.put(s.f_cap_);
   ar.put(s.k_);
   ar.put(static_cast<std::uint32_t>(s.rank_load_.size()));
   ar.put(s.rank_load_);
-  ar.put_size(s.entries_.size());
-
-  std::size_t live_ranks = 0;
-  for (const FpEntry& e : s.entries_) live_ranks += e.rank_len;
-  // One reservation covers the worst case of the whole entry stream: 2
-  // header bytes + full fingerprint + 5-byte freq varint per entry, 5
-  // bytes per designated rank.
-  ar.reserve(s.entries_.size() * (2 + kFpBytes + 5 + 5) + live_ranks * 5);
-
-  hash::Fingerprint prev;
-  for (const FpEntry& e : s.entries_) {
-    const auto delta = fp_sub(e.fp, prev);
-    std::size_t lead = 0;
-    while (lead < kFpBytes && delta[lead] == 0) ++lead;
-    std::size_t last = kFpBytes;
-    while (last > lead && delta[last - 1] == 0) --last;
-    const std::size_t len = last - lead;  // 0 only for an all-zero delta
-    // One buffer append for the fixed-layout head (lead, len, delta run)
-    // instead of three; the varints batch their bytes internally.
-    std::uint8_t head[2 + kFpBytes];
-    head[0] = static_cast<std::uint8_t>(lead);
-    head[1] = static_cast<std::uint8_t>(len);
-    std::memcpy(head + 2, delta.data() + lead, len);
-    ar.write_raw(head, 2 + len);
-    ar.put_varint(e.freq);
-    const auto r = s.ranks(e);
-    ar.put_varint(r.size());
-    std::int32_t prev_rank = 0;
-    for (const std::int32_t rank : r) {
-      ar.put_varint(static_cast<std::uint64_t>(rank - prev_rank));
-      prev_rank = rank;
-    }
-    prev = e.fp;
-  }
+  save_entries(ar, s.entries_, s.rank_pool_);
 }
 
 void load(simmpi::IArchive& ar, BoundedFpSet& s) {
@@ -612,40 +688,75 @@ void load(simmpi::IArchive& ar, BoundedFpSet& s) {
   if (s.rank_load_.size() != nranks) {
     throw std::runtime_error("BoundedFpSet: corrupt load vector");
   }
-  const std::size_t count = ar.get_size();
-  s.entries_.clear();
-  s.entries_.reserve(count);
-  s.rank_pool_.clear();
-  s.rank_pool_.reserve(count);  // >= one designated rank per entry
+  load_entries(ar, s.entries_, s.rank_pool_);
+  s.sealed_ = true;
+}
 
-  hash::Fingerprint prev;
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto lead = ar.get<std::uint8_t>();
-    const auto len = ar.get<std::uint8_t>();
-    if (static_cast<std::size_t>(lead) + len > kFpBytes) {
-      throw std::runtime_error("BoundedFpSet: corrupt fingerprint delta");
-    }
-    std::array<std::uint8_t, kFpBytes> delta{};
-    ar.read_raw(delta.data() + lead, len);
-    if (i > 0 && len == 0) {
-      throw std::runtime_error("BoundedFpSet: fingerprints not ascending");
-    }
-    FpEntry e;
-    e.fp = prev;
-    if (fp_add(e.fp, delta) != 0) {
-      throw std::runtime_error("BoundedFpSet: corrupt fingerprint delta");
-    }
-    e.freq = static_cast<std::uint32_t>(ar.get_varint());
-    e.rank_off = static_cast<std::uint32_t>(s.rank_pool_.size());
-    e.rank_len = static_cast<std::uint32_t>(ar.get_varint());
-    std::int32_t rank = 0;
-    for (std::uint32_t j = 0; j < e.rank_len; ++j) {
-      rank += static_cast<std::int32_t>(ar.get_varint());
-      s.rank_pool_.push_back(rank);
-    }
-    s.entries_.push_back(e);
-    prev = e.fp;
+// ---- ReplicaHealthSet --------------------------------------------------------
+
+void ReplicaHealthSet::add_local(const hash::Fingerprint& fp,
+                                 std::uint32_t length, int rank) {
+  HealthEntry e;
+  e.fp = fp;
+  e.count = 1;
+  e.length = length;
+  e.holder_off = static_cast<std::uint32_t>(holder_pool_.size());
+  if (k_ > 1) {
+    e.holder_len = 1;
+    holder_pool_.push_back(rank);
   }
+  entries_.push_back(e);
+  sealed_ = false;
+}
+
+void ReplicaHealthSet::seal() const {
+  if (sealed_) return;
+  seal_entries(entries_);
+  sealed_ = true;
+}
+
+const HealthEntry* ReplicaHealthSet::find(const hash::Fingerprint& fp) const {
+  seal();
+  return find_entry(entries_, fp);
+}
+
+std::span<const HealthEntry> ReplicaHealthSet::entries() const {
+  seal();
+  return entries_;
+}
+
+std::uint64_t ReplicaHealthSet::merge_from(ReplicaHealthSet&& other) {
+  seal();
+  other.seal();
+  const std::uint64_t scanned = other.entries_.size();
+  // Common fingerprint: counts add up; holders (disjoint: each store
+  // contributes once) are unioned while the sum is still below K.
+  merge_flat(entries_, holder_pool_, other.entries_, other.holder_pool_,
+             [k = k_](const HealthEntry& a, std::span<const std::int32_t> ha,
+                      const HealthEntry& b, std::span<const std::int32_t> hb,
+                      std::vector<std::int32_t>& pool) {
+               HealthEntry out = a;
+               out.count = a.count + b.count;
+               if (static_cast<int>(out.count) < k) {
+                 std::merge(ha.begin(), ha.end(), hb.begin(), hb.end(),
+                            std::back_inserter(pool));
+               }
+               return out;
+             });
+  return scanned;
+}
+
+// Wire format: header K, then the shared entry stream (save_entries) with
+// two varint fields, the replica count and the chunk length.
+void save(simmpi::OArchive& ar, const ReplicaHealthSet& s) {
+  s.seal();
+  ar.put(s.k_);
+  save_entries(ar, s.entries_, s.holder_pool_);
+}
+
+void load(simmpi::IArchive& ar, ReplicaHealthSet& s) {
+  ar.get(s.k_);
+  load_entries(ar, s.entries_, s.holder_pool_);
   s.sealed_ = true;
 }
 

@@ -1,8 +1,8 @@
-// BoundedFpSet: the reduction operand of the paper's collective
-// deduplication (§III-B).
+// The two flat fingerprint sets behind CollRep's reductions.
 //
-// It maps fingerprints to (frequency, designated ranks) and enforces two
-// bounds during every HMERGE:
+// BoundedFpSet is the reduction operand of the paper's collective
+// deduplication (§III-B).  It maps fingerprints to (frequency, designated
+// ranks) and enforces two bounds during every HMERGE:
 //   * at most F fingerprints survive (the most frequent; the rest are
 //     treated as unique — the paper's complexity-bounding relaxation), and
 //   * at most K designated ranks per fingerprint, truncated so that the
@@ -11,12 +11,19 @@
 // A per-rank designation-count vector travels with the set so truncation
 // decisions stay consistent as the reduction ascends the tree.
 //
-// Storage is a fingerprint-sorted flat vector of fixed-size entries whose
-// designated-rank lists live in one shared pool, so HMERGE is a single
-// linear two-pointer merge (no rehashing, no per-entry allocation) and
-// lookups are a binary search over contiguous memory.  add_local() is an
-// O(1) append; the set seals itself (sort + duplicate check) lazily at the
-// first lookup, merge, bound enforcement, or serialization.
+// ReplicaHealthSet is the operand of the repair / recovery audit: it maps
+// fingerprints to (replica count, chunk length, holder ranks), keeping
+// holders only while a fingerprint is below K.
+//
+// Both store a fingerprint-sorted flat vector of fixed-size entries whose
+// rank lists live in one shared pool, and both run on one engine: merges
+// are planned by the dispatched hmerge kernel over 64-bit fingerprint
+// prefixes and executed as bulk run copies plus match-only
+// reconciliation (no rehashing, no per-entry allocation), lookups are a
+// binary search over contiguous memory, and the archive delta-codes the
+// sorted fingerprints with varint fields.  add_local() is an O(1) append;
+// a set seals itself (sort + duplicate check) lazily at the first lookup,
+// merge, bound enforcement, or serialization.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +68,8 @@ class BoundedFpSet {
   // plans the merge as a tag string, take-runs become bulk entry copies,
   // and the scalar freq/rank reconciliation touches only matched entries.
   // Entries whose prefixes collide within one input (never seen with real
-  // digests, but legal) fall back to the full-fingerprint scalar merge.
+  // digests, but legal) are planned by a full-fingerprint comparison
+  // pass instead.
   MergeStats merge_from(BoundedFpSet&& other);
 
   // K-way HMERGE: folds all of `others` into *this in one multi-way pass
@@ -122,15 +130,6 @@ class BoundedFpSet {
   // Keeps the K least-loaded designated ranks of `scratch` (ties toward
   // the lower rank id), releasing the dropped ranks' load.
   void truncate_ranks(std::vector<std::int32_t>& scratch, MergeStats& stats);
-  // Full-fingerprint two-pointer merge; the fallback when prefix keys
-  // are not strictly ascending, and the reference the kernel path must
-  // match bit-for-bit.
-  void merge_entries_scalar(const BoundedFpSet& other, MergeStats& stats);
-  // Kernel-planned merge: tags from the dispatched hmerge kernel drive
-  // bulk take-run copies and match-only reconciliation.
-  void merge_entries_kernel(const BoundedFpSet& other,
-                            const std::uint8_t* tags, std::size_t out_len,
-                            MergeStats& stats);
   // Drops least frequent entries until size() <= F.
   void truncate_to_f(MergeStats& stats);
 
@@ -144,5 +143,66 @@ class BoundedFpSet {
 
 void save(simmpi::OArchive& ar, const BoundedFpSet& s);
 void load(simmpi::IArchive& ar, BoundedFpSet& s);
+
+struct HealthEntry {
+  hash::Fingerprint fp{};
+  std::uint32_t count = 0;       // replicas across contributing alive stores
+  std::uint32_t length = 0;      // chunk payload bytes
+  std::uint32_t holder_off = 0;  // into the set's shared holder pool
+  std::uint32_t holder_len = 0;  // sorted ranks; 0 once count >= K
+};
+
+// Reduction operand of the repair / recovery audit: fingerprint -> replica
+// health.  Holder lists are kept only while a fingerprint is still below
+// K — once the count reaches K the entry is "satisfied" and its holders
+// are dropped, so the merged set stays small in the healthy case (holders
+// never exceed K-1 per under-replicated entry).
+class ReplicaHealthSet {
+ public:
+  ReplicaHealthSet() = default;
+  explicit ReplicaHealthSet(int k) : k_(k) {}
+
+  // Registers one chunk held by `rank`'s alive store (count 1).  O(1)
+  // append; a fingerprint added twice is diagnosed (std::logic_error) at
+  // the next seal point — merge_from(), find(), entries(), or save().
+  void add_local(const hash::Fingerprint& fp, std::uint32_t length, int rank);
+
+  // HMERGE analogue on BoundedFpSet's engine: folds `other` into *this,
+  // summing counts, unioning holders, and dropping holder lists that
+  // reached K.  Returns the number of entries scanned (`other`'s size,
+  // for the merge cost model).
+  std::uint64_t merge_from(ReplicaHealthSet&& other);
+
+  // Binary search; nullptr when absent.  The pointer is invalidated by
+  // any mutating call.
+  [[nodiscard]] const HealthEntry* find(const hash::Fingerprint& fp) const;
+
+  // The holders of an entry obtained from find()/entries(): sorted ranks,
+  // empty once the entry reached K.
+  [[nodiscard]] std::span<const std::int32_t> holders(
+      const HealthEntry& entry) const noexcept {
+    return {holder_pool_.data() + entry.holder_off, entry.holder_len};
+  }
+
+  // All entries, fingerprint-ascending.
+  [[nodiscard]] std::span<const HealthEntry> entries() const;
+
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] int k() const noexcept { return k_; }
+
+  friend void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
+  friend void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
+
+ private:
+  void seal() const;
+
+  int k_ = 1;
+  mutable bool sealed_ = true;
+  mutable std::vector<HealthEntry> entries_;  // fp-ascending once sealed
+  std::vector<std::int32_t> holder_pool_;
+};
+
+void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
+void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
 
 }  // namespace collrep::core

@@ -27,73 +27,6 @@ struct RepairSend {
 
 }  // namespace
 
-void ReplicaHealthSet::add_local(const hash::Fingerprint& fp,
-                                 std::uint32_t length, int rank) {
-  Entry& e = entries_[fp];
-  e.count += 1;
-  e.length = length;
-  if (static_cast<int>(e.count) >= k_) {
-    e.holders.clear();
-    e.holders.shrink_to_fit();
-  } else {
-    e.holders.insert(
-        std::lower_bound(e.holders.begin(), e.holders.end(), rank), rank);
-  }
-}
-
-std::uint64_t ReplicaHealthSet::merge_from(ReplicaHealthSet&& other) {
-  std::uint64_t scanned = 0;
-  for (auto& [fp, in] : other.entries_) {
-    ++scanned;
-    auto [it, inserted] = entries_.try_emplace(fp, std::move(in));
-    if (inserted) continue;
-    Entry& e = it->second;
-    e.count += in.count;
-    if (static_cast<int>(e.count) >= k_) {
-      e.holders.clear();
-      e.holders.shrink_to_fit();
-    } else {
-      std::vector<std::int32_t> merged;
-      merged.reserve(e.holders.size() + in.holders.size());
-      std::merge(e.holders.begin(), e.holders.end(), in.holders.begin(),
-                 in.holders.end(), std::back_inserter(merged));
-      e.holders = std::move(merged);
-    }
-  }
-  other.entries_.clear();
-  return scanned;
-}
-
-void save(simmpi::OArchive& ar, const ReplicaHealthSet& s) {
-  ar.put(s.k_);
-  ar.put_size(s.entries_.size());
-  for (const auto& [fp, e] : s.entries_) {
-    ar.put(fp);
-    ar.put(e.count);
-    ar.put(e.length);
-    ar.put(static_cast<std::uint16_t>(e.holders.size()));
-    for (std::int32_t r : e.holders) ar.put(r);
-  }
-}
-
-void load(simmpi::IArchive& ar, ReplicaHealthSet& s) {
-  ar.get(s.k_);
-  const std::size_t count = ar.get_size();
-  s.entries_.clear();
-  s.entries_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    hash::Fingerprint fp;
-    ar.get(fp);
-    ReplicaHealthSet::Entry e;
-    ar.get(e.count);
-    ar.get(e.length);
-    const auto nholders = ar.get<std::uint16_t>();
-    e.holders.resize(nholders);
-    for (auto& r : e.holders) ar.get(r);
-    s.entries_.emplace(fp, std::move(e));
-  }
-}
-
 ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                                   const chunk::ChunkStore& store, int k) {
   const auto& cluster = comm.cluster();
@@ -180,7 +113,7 @@ RepairStats repair_replicas(simmpi::Comm& comm,
       const chunk::Manifest* man = store.manifest_for(owner);
       if (man == nullptr) continue;
       for (const auto& entry : man->entries) {
-        const ReplicaHealthSet::Entry* h = health.find(entry.fp);
+        const HealthEntry* h = health.find(entry.fp);
         if (h == nullptr) {
           lost_mine.emplace(entry.fp, entry.length);
           my_min = 0;
@@ -204,16 +137,14 @@ RepairStats repair_replicas(simmpi::Comm& comm,
       comm, my_min, [](int a, int b) { return a < b ? a : b; });
 
   // ---- Plan: ship exactly the shortfall -------------------------------------
-  // Deterministic on every rank: deficits ordered by fingerprint, receivers
-  // chosen by a rotating cursor over the alive non-holders (spreads the
-  // re-replication load), senders round-robin over the surviving holders.
-  std::vector<std::pair<hash::Fingerprint, const ReplicaHealthSet::Entry*>>
-      deficits;
-  for (const auto& [fp, e] : health.entries()) {
-    if (static_cast<int>(e.count) < keff) deficits.emplace_back(fp, &e);
+  // Deterministic on every rank: deficits in fingerprint order (the set's
+  // own order), receivers chosen by a rotating cursor over the alive
+  // non-holders (spreads the re-replication load), senders round-robin
+  // over the surviving holders.
+  std::vector<const HealthEntry*> deficits;
+  for (const HealthEntry& e : health.entries()) {
+    if (static_cast<int>(e.count) < keff) deficits.push_back(&e);
   }
-  std::sort(deficits.begin(), deficits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   comm.charge(static_cast<double>(deficits.size()) *
               cluster.merge_entry_cost_s);
 
@@ -221,12 +152,13 @@ RepairStats repair_replicas(simmpi::Comm& comm,
   std::vector<RepairSend> plan;
   std::vector<std::uint64_t> window_bytes(static_cast<std::size_t>(n), 0);
   std::size_t cursor = 0;
-  for (const auto& [fp, e] : deficits) {
+  for (const HealthEntry* e : deficits) {
     stats.under_replicated_chunks += 1;
     stats.under_replicated_bytes += e->length;
     const int need = keff - static_cast<int>(e->count);
     const std::size_t slot_bytes =
         kRecordHeaderBytes + (payload_mode ? e->length : 0);
+    const auto holders = health.holders(*e);
     int picked = 0;
     std::size_t seen = 0;
     std::size_t si = 0;
@@ -234,13 +166,11 @@ RepairStats repair_replicas(simmpi::Comm& comm,
       const int r = alive_ranks[cursor % alive_ranks.size()];
       ++cursor;
       ++seen;
-      if (std::binary_search(e->holders.begin(), e->holders.end(), r)) {
-        continue;
-      }
+      if (std::binary_search(holders.begin(), holders.end(), r)) continue;
       RepairSend s;
-      s.fp = fp;
+      s.fp = e->fp;
       s.length = e->length;
-      s.sender = e->holders[si++ % e->holders.size()];
+      s.sender = holders[si++ % holders.size()];
       s.receiver = r;
       s.offset = window_bytes[static_cast<std::size_t>(r)];
       window_bytes[static_cast<std::size_t>(r)] += slot_bytes;

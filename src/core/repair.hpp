@@ -12,68 +12,18 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "chunk/store.hpp"
-#include "hash/fingerprint.hpp"
-#include "simmpi/archive.hpp"
+#include "core/fingerprint_set.hpp"
 #include "simmpi/comm.hpp"
 
 namespace collrep::core {
 
-// Reduction operand of the repair audit: fingerprint -> replica health.
-// Holder lists are kept only while a fingerprint is still below K — once
-// the count reaches K the entry is "satisfied" and its holders are
-// dropped, so the merged set stays small in the healthy case (holders
-// never exceed K-1 per under-replicated entry).
-class ReplicaHealthSet {
- public:
-  struct Entry {
-    std::uint32_t count = 0;   // replicas across contributing alive stores
-    std::uint32_t length = 0;  // chunk payload bytes
-    std::vector<std::int32_t> holders;  // sorted ranks; empty once satisfied
-  };
-
-  ReplicaHealthSet() = default;
-  explicit ReplicaHealthSet(int k) : k_(k) {}
-
-  // Registers one chunk held by `rank`'s alive store (count 1).
-  void add_local(const hash::Fingerprint& fp, std::uint32_t length, int rank);
-
-  // HMERGE analogue: folds `other` into *this, summing counts, unioning
-  // holders, and dropping holder lists that reached K.  Returns the number
-  // of entries scanned (for the merge cost model).
-  std::uint64_t merge_from(ReplicaHealthSet&& other);
-
-  [[nodiscard]] const Entry* find(const hash::Fingerprint& fp) const {
-    const auto it = entries_.find(fp);
-    return it == entries_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
-  [[nodiscard]] int k() const noexcept { return k_; }
-  [[nodiscard]] const std::unordered_map<hash::Fingerprint, Entry,
-                                         hash::FingerprintHash>&
-  entries() const noexcept {
-    return entries_;
-  }
-
-  friend void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
-  friend void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
-
- private:
-  int k_ = 1;
-  std::unordered_map<hash::Fingerprint, Entry, hash::FingerprintHash>
-      entries_;
-};
-
-void save(simmpi::OArchive& ar, const ReplicaHealthSet& s);
-void load(simmpi::IArchive& ar, ReplicaHealthSet& s);
-
 // Collective audit helper (also used by the degraded dump path): every
 // rank contributes the contents of its own alive store (nothing when the
-// store is failed) and all ranks return the merged global health map.
-// Merge compute is charged to the cost model like the dedup reduction.
+// store is failed) and all ranks return the merged global ReplicaHealthSet
+// (core/fingerprint_set.hpp).  Merge compute is charged to the cost model
+// like the dedup reduction.
 [[nodiscard]] ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                                                const chunk::ChunkStore& store,
                                                int k);

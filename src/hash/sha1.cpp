@@ -45,20 +45,19 @@ void Sha1::update(std::span<const std::uint8_t> data) noexcept {
 }
 
 void Sha1::finish(std::span<std::uint8_t, kDigestBytes> digest) noexcept {
+  // Padding (0x80, zero fill to 56 mod 64, 64-bit big-endian bit length)
+  // spans one block, or two when fewer than 9 bytes are free after the
+  // buffered tail; both are built locally and compressed in one call.
+  std::uint8_t tail[2 * kBlockBytes] = {};
+  std::memcpy(tail, buffer_.data(), buffered_);
+  tail[buffered_] = 0x80;
+  const std::size_t blocks = buffered_ + 9 <= kBlockBytes ? 1 : 2;
   const std::uint64_t bit_len = total_bytes_ * 8;
-
-  static constexpr std::uint8_t kPad = 0x80;
-  update(std::span<const std::uint8_t>{&kPad, 1});
-  static constexpr std::uint8_t kZero = 0x00;
-  while (buffered_ != 56) {
-    update(std::span<const std::uint8_t>{&kZero, 1});
-  }
-
-  std::uint8_t len_bytes[8];
+  std::uint8_t* len_bytes = tail + blocks * kBlockBytes - 8;
   for (int i = 0; i < 8; ++i) {
     len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update(std::span<const std::uint8_t>{len_bytes, 8});
+  kernels::dispatch().sha1_blocks(state_.data(), tail, blocks);
 
   for (int i = 0; i < 5; ++i) {
     digest[4 * i] = static_cast<std::uint8_t>(state_[i] >> 24);

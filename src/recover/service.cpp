@@ -11,6 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/fingerprint_set.hpp"
+#include "core/repair.hpp"
 #include "simmpi/collectives.hpp"
 
 namespace collrep::recover {
@@ -227,29 +229,28 @@ RecoveryStats RecoveryService::recover_world(simmpi::Comm& comm) const {
   }
 
   // Classification + deterministic plan (the repair planner's rules:
-  // deficits ordered by fingerprint, receivers via a rotating cursor over
-  // alive non-holders, senders round-robin over surviving holders).
-  std::vector<std::pair<hash::Fingerprint, const core::ReplicaHealthSet::Entry*>>
-      deficits;
-  for (const auto& [fp, e] : health.entries()) {
+  // deficits in fingerprint order — the set's own order — receivers via a
+  // rotating cursor over alive non-holders, senders round-robin over
+  // surviving holders).
+  std::vector<const core::HealthEntry*> deficits;
+  for (const core::HealthEntry& e : health.entries()) {
     if (static_cast<int>(e.count) >= keff) {
       stats.dedup_satisfied_chunks += 1;
       stats.dedup_satisfied_bytes += e.length;
     } else {
-      deficits.emplace_back(fp, &e);
+      deficits.push_back(&e);
     }
   }
-  std::sort(deficits.begin(), deficits.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   comm.charge(static_cast<double>(health.size()) * cluster.merge_entry_cost_s);
 
   std::vector<ShipOrder> plan;
   std::vector<std::uint64_t> window_bytes(static_cast<std::size_t>(n), 0);
   std::size_t cursor = 0;
-  for (const auto& [fp, e] : deficits) {
+  for (const core::HealthEntry* e : deficits) {
     const int need = keff - static_cast<int>(e->count);
     const std::size_t slot_bytes =
         kRecordHeaderBytes + (payload_mode ? e->length : 0);
+    const auto holders = health.holders(*e);
     int picked = 0;
     std::size_t seen = 0;
     std::size_t si = 0;
@@ -257,13 +258,11 @@ RecoveryStats RecoveryService::recover_world(simmpi::Comm& comm) const {
       const int r = alive_ranks[cursor % alive_ranks.size()];
       ++cursor;
       ++seen;
-      if (std::binary_search(e->holders.begin(), e->holders.end(), r)) {
-        continue;
-      }
+      if (std::binary_search(holders.begin(), holders.end(), r)) continue;
       ShipOrder s;
-      s.fp = fp;
+      s.fp = e->fp;
       s.length = e->length;
-      s.sender = e->holders[si++ % e->holders.size()];
+      s.sender = holders[si++ % holders.size()];
       s.receiver = r;
       s.offset = window_bytes[static_cast<std::size_t>(r)];
       window_bytes[static_cast<std::size_t>(r)] += slot_bytes;

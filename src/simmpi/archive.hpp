@@ -48,6 +48,25 @@ struct is_map_like<std::map<K, V, C, A>> : std::true_type {};
 template <class K, class V, class H, class E, class A>
 struct is_map_like<std::unordered_map<K, V, H, E, A>> : std::true_type {};
 
+// Smallest number of bytes one encoded T can occupy.  Decoders bound an
+// untrusted element count by remaining() / min_encoded_bytes<T>() before
+// sizing anything from it.  ADL formats are assumed to write at least one
+// byte per value.
+template <class T>
+constexpr std::size_t min_encoded_bytes() {
+  if constexpr (AdlLoadable<T>) {
+    return 1;
+  } else if constexpr (is_std_vector<T>::value || is_map_like<T>::value ||
+                       std::is_same_v<T, std::string>) {
+    return sizeof(std::uint64_t);  // the size prefix
+  } else if constexpr (is_std_pair<T>::value) {
+    return min_encoded_bytes<typename T::first_type>() +
+           min_encoded_bytes<typename T::second_type>();
+  } else {
+    return sizeof(T);
+  }
+}
+
 }  // namespace detail
 
 class OArchive {
@@ -133,7 +152,7 @@ class IArchive {
       : data_(data) {}
 
   void read_raw(void* out, std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    if (n > remaining()) {
       throw std::runtime_error("IArchive: read past end of buffer");
     }
     std::memcpy(out, data_.data() + pos_, n);
@@ -145,7 +164,8 @@ class IArchive {
     if constexpr (detail::AdlLoadable<T>) {
       load(*this, value);
     } else if constexpr (detail::is_std_vector<T>::value) {
-      const std::size_t n = get_size();
+      const std::size_t n =
+          get_count(detail::min_encoded_bytes<typename T::value_type>());
       value.clear();
       if constexpr (std::is_trivially_copyable_v<typename T::value_type>) {
         value.resize(n);
@@ -159,14 +179,16 @@ class IArchive {
         }
       }
     } else if constexpr (std::is_same_v<T, std::string>) {
-      const std::size_t n = get_size();
+      const std::size_t n = get_count(1);
       value.resize(n);
       read_raw(value.data(), n);
     } else if constexpr (detail::is_std_pair<T>::value) {
       get(value.first);
       get(value.second);
     } else if constexpr (detail::is_map_like<T>::value) {
-      const std::size_t n = get_size();
+      const std::size_t n =
+          get_count(detail::min_encoded_bytes<typename T::key_type>() +
+                    detail::min_encoded_bytes<typename T::mapped_type>());
       value.clear();
       for (std::size_t i = 0; i < n; ++i) {
         typename T::key_type k;
@@ -193,6 +215,18 @@ class IArchive {
     std::uint64_t v = 0;
     read_raw(&v, sizeof v);
     return static_cast<std::size_t>(v);
+  }
+
+  // An element count from the stream, checked before anyone allocates for
+  // it: `min_elem_bytes` (>= 1) is the smallest encoding of one element,
+  // so a count the remaining bytes cannot hold is corrupt
+  // (std::runtime_error).
+  [[nodiscard]] std::size_t get_count(std::size_t min_elem_bytes) {
+    const std::size_t n = get_size();
+    if (n > remaining() / min_elem_bytes) {
+      throw std::runtime_error("IArchive: element count exceeds buffer");
+    }
+    return n;
   }
 
   [[nodiscard]] std::uint64_t get_varint() {

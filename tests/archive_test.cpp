@@ -99,11 +99,41 @@ TEST(Archive, TruncatedBufferThrows) {
 }
 
 TEST(Archive, CorruptSizeThrows) {
-  OArchive out;
-  out.put_size(1u << 30);  // claims a huge vector, provides no elements
-  IArchive in(out.bytes());
-  EXPECT_THROW((void)in.get<std::vector<std::uint64_t>>(),
+  // Each input claims more elements than it carries; the decoder must
+  // reject the count before allocating for it.  2^62 u64 elements would
+  // have thrown length_error / bad_alloc from resize(), and 2^61 overflow
+  // the byte count n * 8.
+  const auto claim = [](std::uint64_t n) {
+    OArchive out;
+    out.put_size(n);
+    out.put(std::uint64_t{7});  // one u64 element's worth of payload
+    return out.take();
+  };
+  EXPECT_EQ(from_bytes<std::vector<std::uint64_t>>(claim(1)),
+            std::vector<std::uint64_t>{7});
+  EXPECT_THROW((void)from_bytes<std::vector<std::uint64_t>>(claim(2)),
                std::runtime_error);
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 30, std::uint64_t{1} << 61,
+        std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    const auto bytes = claim(n);
+    EXPECT_THROW((void)from_bytes<std::vector<std::uint64_t>>(bytes),
+                 std::runtime_error)
+        << n;
+    EXPECT_THROW((void)from_bytes<std::vector<std::vector<int>>>(bytes),
+                 std::runtime_error)
+        << n;
+    EXPECT_THROW((void)from_bytes<std::string>(bytes), std::runtime_error)
+        << n;
+    EXPECT_THROW(
+        (void)(from_bytes<std::map<std::uint32_t, std::uint32_t>>(bytes)),
+        std::runtime_error)
+        << n;
+    EXPECT_THROW(
+        (void)(from_bytes<std::unordered_map<std::string, int>>(bytes)),
+        std::runtime_error)
+        << n;
+  }
 }
 
 TEST(Archive, ManifestRoundTrip) {

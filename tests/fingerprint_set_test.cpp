@@ -2,6 +2,9 @@
 // load-aware K-truncation, serialization, and reduction-order robustness.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/fingerprint_set.hpp"
@@ -201,6 +204,47 @@ TEST(BoundedFpSet, SerializationRoundTrip) {
   EXPECT_EQ(b.find(fp(2))->freq, 2u);
   EXPECT_EQ(ranks_of(b, fp(2)), (std::vector<std::int32_t>{0, 1}));
   EXPECT_TRUE(b.check_invariants());
+}
+
+TEST(BoundedFpSet, CorruptArchivesThrow) {
+  BoundedFpSet a(64, 3, 4);
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    a.add_local(fp(i * 0x9E3779B97F4A7C15ull), static_cast<int>(i % 4));
+  }
+  a.merge_from(leaf(64, 3, 4, 1, {7, 8, 9}));
+  const auto bytes = simmpi::to_bytes(a);
+
+  // Truncated anywhere: the decoder runs out of bytes and says so.
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW((void)simmpi::from_bytes<BoundedFpSet>(
+                     std::span<const std::uint8_t>{bytes.data(), len}),
+                 std::runtime_error)
+        << len;
+  }
+
+  // A huge entry count is rejected before anything is reserved for it.
+  // Header: u32 F, i32 K, u32 nranks, u64 + 4 * nranks load vector.
+  const std::size_t count_at = 3 * 4 + 8 + 4 * 4;
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    auto corrupt = bytes;
+    std::memcpy(corrupt.data() + count_at, &count, sizeof count);
+    EXPECT_THROW((void)simmpi::from_bytes<BoundedFpSet>(corrupt),
+                 std::runtime_error)
+        << count;
+  }
+
+  // Random byte flips decode or fail with the documented exception.
+  std::mt19937_64 rng(0xB0D5);
+  for (int trial = 0; trial < 2000; ++trial) {
+    auto mutated = bytes;
+    mutated[rng() % mutated.size()] = static_cast<std::uint8_t>(rng());
+    try {
+      (void)simmpi::from_bytes<BoundedFpSet>(mutated);
+    } catch (const std::runtime_error&) {
+      // Anything else escapes and fails the test.
+    }
+  }
 }
 
 TEST(BoundedFpSet, SerializedSizeScalesWithEntries) {
