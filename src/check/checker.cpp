@@ -182,10 +182,10 @@ std::exception_ptr Checker::run_end(bool aborted) {
   }
   if (aborted) return nullptr;  // leftover messages are expected, not leaks
 
-  std::vector<std::pair<std::tuple<int, int, int>, std::uint64_t>> leaks;
+  std::vector<std::pair<std::tuple<int, int, int>, std::int64_t>> leaks;
   {
     std::scoped_lock lk(msg_mu_);
-    for (const auto& [key, count] : in_flight_) {
+    for (const auto& [key, balance] : in_flight_) {
       // Channels touching a dead rank are expected residue of a contained
       // failure (the runtime drained them at the shrink), not leaks.
       const auto& [src, dst, tag] = key;
@@ -193,7 +193,7 @@ std::exception_ptr Checker::run_end(bool aborted) {
                     dead_[static_cast<std::size_t>(dst)].load() != 0)) {
         continue;
       }
-      if (count > 0) leaks.emplace_back(key, count);
+      if (balance != 0) leaks.emplace_back(key, balance);
     }
   }
   if (leaks.empty()) return nullptr;
@@ -202,7 +202,8 @@ std::exception_ptr Checker::run_end(bool aborted) {
   std::string channels;
   constexpr std::size_t kMaxListed = 8;
   for (std::size_t i = 0; i < leaks.size(); ++i) {
-    total += leaks[i].second;
+    const std::int64_t balance = leaks[i].second;
+    total += static_cast<std::uint64_t>(balance < 0 ? -balance : balance);
     if (i >= kMaxListed) continue;
     const auto& [src, dst, tag] = leaks[i].first;
     if (!channels.empty()) channels += ", ";
@@ -216,7 +217,9 @@ std::exception_ptr Checker::run_end(bool aborted) {
   Violation v;
   v.kind = ViolationKind::kMessageLeak;
   v.detail = std::to_string(total) +
-             " unreceived point-to-point message(s) at finalize: " + channels;
+             " unmatched point-to-point message(s) at finalize (count > 0: "
+             "never received, < 0: received but never sent): " +
+             channels;
   report(v, false);
   if (config_.abort_on_violation) {
     return std::make_exception_ptr(ViolationError(std::move(v)));
@@ -286,16 +289,17 @@ void Checker::on_send(int rank, int dst, int tag, std::size_t /*bytes*/) {
   beat();
   msgs_tracked_.fetch_add(1, std::memory_order_relaxed);
   std::scoped_lock lk(msg_mu_);
-  ++in_flight_[{rank, dst, tag}];
+  const auto it = in_flight_.try_emplace({rank, dst, tag}, 0).first;
+  if (++it->second == 0) in_flight_.erase(it);
 }
 
 void Checker::on_recv(int rank, int src, int tag, std::size_t /*bytes*/) {
   beat();
   std::scoped_lock lk(msg_mu_);
-  const auto it = in_flight_.find({src, rank, tag});
-  // The mailbox only delivers messages that were pushed (after on_send),
-  // so the channel entry always exists with a positive count.
-  if (it != in_flight_.end() && --it->second == 0) in_flight_.erase(it);
+  // A replayed allgather receive may precede its peer's replayed send, so
+  // the balance can dip below zero until that send is recorded.
+  const auto it = in_flight_.try_emplace({src, rank, tag}, 0).first;
+  if (--it->second == 0) in_flight_.erase(it);
 }
 
 // -- one-sided windows ------------------------------------------------------

@@ -29,9 +29,12 @@
 //     rank) and converts the would-be deadlock into a per-rank report of
 //     the last collective each rank entered or completed.
 //
-//  4. Finalize leak check.  Per-(src, dst, tag) send/recv accounting;
-//     when a run ends cleanly with unreceived messages still queued, the
-//     leak is reported with the offending channels.
+//  4. Finalize leak check.  Per-(src, dst, tag) signed send/recv balance;
+//     when a run ends cleanly with any channel off zero, the channels are
+//     reported: positive means sends nobody received, negative means
+//     receives with no matching send.  The balance is signed because the
+//     allgather replays its ring after one rendezvous, so a replayed
+//     receive can be recorded before its peer's replayed send.
 //
 // Violations are recorded in a log readable after the run; in abort mode
 // (the default) the detecting rank additionally throws ViolationError,
@@ -252,9 +255,10 @@ class Checker final : public simmpi::CheckHook {
   std::mutex win_mu_;
   std::unordered_map<int, WinCheck> wins_;
 
-  // Point-to-point accounting: key(src, dst) x tag -> in-flight count.
+  // Point-to-point accounting: (src, dst, tag) -> sends minus receives;
+  // channels at zero are erased.
   std::mutex msg_mu_;
-  std::map<std::tuple<int, int, int>, std::uint64_t> in_flight_;
+  std::map<std::tuple<int, int, int>, std::int64_t> in_flight_;
 
   // Violation log.
   mutable std::mutex viol_mu_;

@@ -5,15 +5,25 @@
 // RAM.  A store can be failed (node loss) — reads then behave as if the
 // device were gone, which is what the restore path and the failure-injection
 // tests exercise.
+//
+// Index layout: chunks live in a slot vector in insertion order (the
+// fingerprint, its length and, in payload mode, its bytes); lookup goes
+// through an open-addressing table of 4-byte slot indices, linearly probed
+// from a Fibonacci hash of the fingerprint's 8-byte prefix and kept at most
+// half full.  A probe compares full fingerprints only at occupied buckets,
+// so fingerprints sharing a prefix stay distinct.  Growing the slot vector
+// moves each payload vector without reallocating its bytes, so a span from
+// get() stays valid across later puts into the same store (until clear()).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <vector>
 
 #include "chunk/manifest.hpp"
@@ -41,13 +51,11 @@ class ChunkStore {
   // (content addressing makes duplicate puts free except for the lookup).
   bool put(const hash::Fingerprint& fp, std::span<const std::uint8_t> payload) {
     check_alive();
-    auto [it, inserted] = chunks_.try_emplace(fp);
-    if (!inserted) return false;
-    it->second.length = static_cast<std::uint32_t>(payload.size());
+    Slot* slot = insert(fp, static_cast<std::uint32_t>(payload.size()));
+    if (slot == nullptr) return false;
     if (mode_ == StoreMode::kPayload) {
-      it->second.payload.assign(payload.begin(), payload.end());
+      slot->payload.assign(payload.begin(), payload.end());
     }
-    stored_bytes_ += payload.size();
     return true;
   }
 
@@ -58,16 +66,12 @@ class ChunkStore {
       throw std::logic_error(
           "ChunkStore: put_accounted() requires accounting mode");
     }
-    auto [it, inserted] = chunks_.try_emplace(fp);
-    if (!inserted) return false;
-    it->second.length = length;
-    stored_bytes_ += length;
-    return true;
+    return insert(fp, length) != nullptr;
   }
 
   [[nodiscard]] bool contains(const hash::Fingerprint& fp) const {
     check_alive();
-    return chunks_.contains(fp);
+    return find(fp) != nullptr;
   }
 
   // Payload of a stored chunk; nullopt if absent.  Throws in accounting
@@ -78,17 +82,17 @@ class ChunkStore {
     if (mode_ != StoreMode::kPayload) {
       throw std::logic_error("ChunkStore: get() requires payload mode");
     }
-    const auto it = chunks_.find(fp);
-    if (it == chunks_.end()) return std::nullopt;
-    return std::span<const std::uint8_t>{it->second.payload};
+    const Slot* slot = find(fp);
+    if (slot == nullptr) return std::nullopt;
+    return std::span<const std::uint8_t>{slot->payload};
   }
 
   [[nodiscard]] std::optional<std::uint32_t> chunk_length(
       const hash::Fingerprint& fp) const {
     check_alive();
-    const auto it = chunks_.find(fp);
-    if (it == chunks_.end()) return std::nullopt;
-    return it->second.length;
+    const Slot* slot = find(fp);
+    if (slot == nullptr) return std::nullopt;
+    return slot->length;
   }
 
   // -- named blobs ------------------------------------------------------------
@@ -179,7 +183,7 @@ class ChunkStore {
   template <class Fn>
   void for_each_chunk(Fn&& fn) const {
     check_alive();
-    for (const auto& [fp, slot] : chunks_) fn(fp, slot.length);
+    for (const Slot& slot : slots_) fn(slot.fp, slot.length);
   }
 
   // -- accounting -----------------------------------------------------------
@@ -187,11 +191,12 @@ class ChunkStore {
     return stored_bytes_;
   }
   [[nodiscard]] std::size_t chunk_count() const noexcept {
-    return chunks_.size();
+    return slots_.size();
   }
 
   void clear() {
-    chunks_.clear();
+    slots_ = {};
+    index_ = {};
     manifests_.clear();
     blobs_.clear();
     stored_bytes_ = 0;
@@ -203,13 +208,72 @@ class ChunkStore {
   }
 
   struct Slot {
+    hash::Fingerprint fp;
     std::uint32_t length = 0;
     std::vector<std::uint8_t> payload;  // empty in accounting mode
   };
+  // Slot-vector growth must move payload vectors, never copy them, or
+  // spans handed out by get() would dangle.
+  static_assert(std::is_nothrow_move_constructible_v<Slot>);
+
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  // First bucket of `fp`'s probe sequence (index_ is a power of two).
+  [[nodiscard]] std::size_t home(const hash::Fingerprint& fp) const noexcept {
+    return static_cast<std::size_t>(
+        (fp.prefix64() * 0x9e3779b97f4a7c15ull) >>
+        (64 - std::countr_zero(index_.size())));
+  }
+
+  // Bucket holding `fp`, or the empty bucket that ends its probe sequence
+  // (the table is at most half full, so one always exists).
+  [[nodiscard]] std::size_t probe(const hash::Fingerprint& fp) const {
+    const std::size_t mask = index_.size() - 1;
+    std::size_t b = home(fp);
+    while (index_[b] != kEmpty && slots_[index_[b]].fp != fp) {
+      b = (b + 1) & mask;
+    }
+    return b;
+  }
+
+  [[nodiscard]] const Slot* find(const hash::Fingerprint& fp) const {
+    if (index_.empty()) return nullptr;
+    const std::uint32_t s = index_[probe(fp)];
+    return s == kEmpty ? nullptr : &slots_[s];
+  }
+
+  // Appends a slot for `fp` unless present; nullptr when it was.
+  Slot* insert(const hash::Fingerprint& fp, std::uint32_t length) {
+    if (index_.empty()) grow();
+    std::size_t b = probe(fp);
+    if (index_[b] != kEmpty) return nullptr;
+    if (2 * (slots_.size() + 1) > index_.size()) {
+      grow();
+      b = probe(fp);
+    }
+    index_[b] = static_cast<std::uint32_t>(slots_.size());
+    Slot& slot = slots_.emplace_back();
+    slot.fp = fp;
+    slot.length = length;
+    stored_bytes_ += length;
+    return &slot;
+  }
+
+  // Doubles the bucket table and re-threads every slot into it.
+  void grow() {
+    index_.assign(index_.empty() ? 16 : 2 * index_.size(), kEmpty);
+    const std::size_t mask = index_.size() - 1;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      std::size_t b = home(slots_[s].fp);
+      while (index_[b] != kEmpty) b = (b + 1) & mask;
+      index_[b] = static_cast<std::uint32_t>(s);
+    }
+  }
 
   StoreMode mode_;
   bool failed_ = false;
-  std::unordered_map<hash::Fingerprint, Slot, hash::FingerprintHash> chunks_;
+  std::vector<Slot> slots_;            // insertion order
+  std::vector<std::uint32_t> index_;   // slot indices; kEmpty = free bucket
   std::map<int, std::optional<Manifest>> manifests_;
   std::map<std::string, std::vector<std::uint8_t>> blobs_;
   std::uint64_t stored_bytes_ = 0;

@@ -77,6 +77,27 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     throw ManifestLostError(rank, scan.consulted, scan.failed);
   }
 
+  // The manifest's segment sizes are claims; bound them by the entries
+  // (chunks never straddle segments, so both sides sum to the dataset
+  // size) before any of them sizes an allocation.
+  std::uint64_t claimed = 0;
+  for (const auto size : manifest->segment_sizes) {
+    if (__builtin_add_overflow(claimed, size, &claimed)) {
+      throw std::runtime_error("restore: segment sizes overflow");
+    }
+  }
+  std::uint64_t chunked = 0;
+  for (const chunk::ManifestEntry& entry : manifest->entries) {
+    if (__builtin_add_overflow(chunked, std::uint64_t{entry.length},
+                               &chunked)) {
+      throw std::runtime_error("restore: chunk lengths overflow");
+    }
+  }
+  if (claimed != chunked) {
+    throw std::runtime_error(
+        "restore: segment sizes do not match manifest entries");
+  }
+
   RestoreResult out;
   out.segments.reserve(manifest->segment_sizes.size());
   for (const auto size : manifest->segment_sizes) {

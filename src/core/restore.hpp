@@ -91,8 +91,10 @@ struct RestoreResult {
 
 // Rebuilds `rank`'s most recent dump from `stores` (index == rank).  Failed
 // stores are skipped; throws ManifestLostError / ChunkLostError when the
-// failure pattern exceeds what the replication factor can tolerate.
-// Stores must be payload mode.
+// failure pattern exceeds what the replication factor can tolerate, and
+// std::runtime_error for an inconsistent manifest (segment sizes that do
+// not add up to its entries, or a chunk whose length differs from its
+// entry) before allocating from its claims.  Stores must be payload mode.
 [[nodiscard]] RestoreResult restore_rank(
     std::span<chunk::ChunkStore* const> stores, int rank);
 

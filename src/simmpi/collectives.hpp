@@ -3,8 +3,9 @@
 // Shapes follow the classic MPI implementations the paper relies on:
 // binomial-tree reduce + binomial-tree broadcast (so ALLREDUCE of the
 // HMERGE operator is logarithmic in the number of processes, §III-B), and
-// ring allgather.  User-defined reduction operators receive
-// (accumulated, incoming) and may charge compute time via Comm::charge.
+// ring allgather (executed as one rendezvous, see allgather()).
+// User-defined reduction operators receive (accumulated, incoming) and may
+// charge compute time via Comm::charge.
 #pragma once
 
 #include <cstdint>
@@ -266,8 +267,10 @@ T scatter(Comm& comm, const std::vector<T>& values, int root = 0,
   return received;
 }
 
-// Ring allgather: N-1 steps, each rank forwards the block it received in
-// the previous step.  Returns the vector of all ranks' values by rank.
+// Allgather: returns the vector of all ranks' values by rank.  Modelled
+// as a ring (n - 1 steps, each rank forwards the block it received in the
+// previous step) but executed as one rendezvous that replays the ring's
+// sends and receives (Comm::allgather_bytes, DESIGN.md §2.1).
 template <class T>
 std::vector<T> allgather(Comm& comm, const T& value,
                          std::source_location loc =
@@ -277,17 +280,13 @@ std::vector<T> allgather(Comm& comm, const T& value,
       comm, obs::CollectiveKind::kAllgather,
       static_cast<std::uint64_t>(n > 0 ? n - 1 : 0),
       detail::fingerprint<T>(obs::CollectiveKind::kAllgather, -1), loc);
-  const int r = comm.rank();
-  std::vector<T> out(static_cast<std::size_t>(n));
-  out[static_cast<std::size_t>(r)] = value;
-  T current = value;
-  for (int step = 0; step < n - 1; ++step) {
-    const int dst = (r + 1) % n;
-    const int src = (r - 1 + n) % n;
-    comm.send_value(dst, tags::kAllgather + step, current);
-    current = comm.recv_value<T>(src, tags::kAllgather + step);
-    const int origin = ((r - 1 - step) % n + n) % n;
-    out[static_cast<std::size_t>(origin)] = current;
+  const auto blocks = comm.allgather_bytes(to_bytes(value), tags::kAllgather);
+  std::vector<T> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    out.push_back(r == comm.rank()
+                      ? value
+                      : from_bytes<T>(blocks[static_cast<std::size_t>(r)]));
   }
   comm.fault_point("coll.post");
   return out;

@@ -13,33 +13,14 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::uint8_t> data) {
     throw std::out_of_range("simmpi: send to invalid rank");
   }
   const int wdst = group_[static_cast<std::size_t>(dst)];
-  // Before the mailbox push, so the checker observes a message's send
-  // strictly before its receive.  Checker/obs/topology stay world-keyed.
-  if (check_) check_->on_send(rank_, wdst, tag, data.size());
-  const auto& cl = cluster();
-  if (obs_) {
-    auto& cs = obs_->comm;
-    ++cs.sent_messages;
-    cs.sent_bytes += data.size();
-    auto& per_tag = cs.sent_by_tag[tag];
-    ++per_tag.messages;
-    per_tag.bytes += data.size();
-    (cl.same_node(rank_, wdst) ? cs.intra_node_sent_bytes
-                               : cs.inter_node_sent_bytes) += data.size();
-  }
-  // Sender-side copy-out overhead, then in-flight latency/bandwidth.
-  clock_.advance(static_cast<double>(data.size()) / cl.mem_bandwidth_bps);
-  const std::uint64_t flow =
-      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank_)) << 32) |
-      static_cast<std::uint32_t>(flow_seq_++);
-  if (obs_) {
-    obs_->event(obs::EventKind::kSend, clock_.now(), "send", data.size(),
-                static_cast<std::uint64_t>(wdst), flow);
-  }
-  detail::Message msg{
-      std::vector<std::uint8_t>(data.begin(), data.end()),
-      clock_.now() + cl.message_time(rank_, wdst, data.size()), flow};
-  state_->mailbox(wdst).push(rank_, tag, std::move(msg));
+  const std::uint64_t flow = flow_id(rank_, flow_seq_++);
+  // Accounted before the mailbox push, so the checker observes a message's
+  // send strictly before its receive.
+  const double arrival = account_send(wdst, tag, data.size(), flow);
+  state_->mailbox(wdst).push(
+      rank_, tag,
+      detail::Message{std::vector<std::uint8_t>(data.begin(), data.end()),
+                      arrival, flow});
 }
 
 std::vector<std::uint8_t> Comm::recv_bytes(int src, int tag) {
@@ -54,22 +35,97 @@ std::vector<std::uint8_t> Comm::recv_bytes(int src, int tag) {
     fail_pending_ = true;
     throw;
   }
-  if (check_) check_->on_recv(rank_, wsrc, tag, msg.payload.size());
+  account_recv(wsrc, tag, msg.payload.size(), msg.arrival_time, msg.flow);
+  return std::move(msg.payload);
+}
+
+double Comm::account_send(int wdst, int tag, std::size_t bytes,
+                          std::uint64_t flow) {
+  // Checker/obs/topology stay world-keyed.
+  if (check_) check_->on_send(rank_, wdst, tag, bytes);
+  const auto& cl = cluster();
+  if (obs_) {
+    auto& cs = obs_->comm;
+    ++cs.sent_messages;
+    cs.sent_bytes += bytes;
+    auto& per_tag = cs.sent_by_tag[tag];
+    ++per_tag.messages;
+    per_tag.bytes += bytes;
+    (cl.same_node(rank_, wdst) ? cs.intra_node_sent_bytes
+                               : cs.inter_node_sent_bytes) += bytes;
+  }
+  const double arrival = detail::clock_send(cl, clock_, rank_, wdst, bytes);
+  if (obs_) {
+    obs_->event(obs::EventKind::kSend, clock_.now(), "send", bytes,
+                static_cast<std::uint64_t>(wdst), flow);
+  }
+  return arrival;
+}
+
+void Comm::account_recv(int wsrc, int tag, std::size_t bytes, double arrival,
+                        std::uint64_t flow) {
+  if (check_) check_->on_recv(rank_, wsrc, tag, bytes);
   if (obs_) {
     ++obs_->comm.recv_messages;
-    obs_->comm.recv_bytes += msg.payload.size();
+    obs_->comm.recv_bytes += bytes;
   }
-  clock_.at_least(msg.arrival_time);
-  clock_.advance(static_cast<double>(msg.payload.size()) /
-                 cluster().mem_bandwidth_bps);
+  detail::clock_recv(cluster(), clock_, arrival, bytes);
   if (obs_) {
     // Stamped after the arrival/copy-in advance: ts is when the receive
     // completed, so the matching kSend -> kRecv edge spans the flight time.
-    obs_->event(obs::EventKind::kRecv, clock_.now(), "recv",
-                msg.payload.size(), static_cast<std::uint64_t>(wsrc),
-                msg.flow);
+    obs_->event(obs::EventKind::kRecv, clock_.now(), "recv", bytes,
+                static_cast<std::uint64_t>(wsrc), flow);
   }
-  return std::move(msg.payload);
+}
+
+std::vector<std::span<const std::uint8_t>> Comm::allgather_bytes(
+    std::vector<std::uint8_t> mine, int tag_base) {
+  raise_pending_failure();
+  const int n = size();
+  const int parity = allgather_parity_;
+  allgather_parity_ ^= 1;
+  RunState::SyncResult sr;
+  try {
+    sr = state_->allgather_sync(
+        parity, rank_, group_,
+        detail::AllgatherSlot{std::move(mine), clock_.now(), flow_seq_});
+  } catch (const RankDeadError&) {
+    fail_pending_ = true;
+    throw;
+  }
+  if (sr.deaths > known_deaths_) {
+    // Same uniform-throw contract as barrier(): a peer died before its
+    // block was in, so no survivor returns from this allgather.
+    fail_pending_ = true;
+    throw RankDeadError{};
+  }
+  const auto& table = state_->allgather_table(parity);
+  const auto block = [&](int dense) -> const std::vector<std::uint8_t>& {
+    return table.slots[static_cast<std::size_t>(
+                           group_[static_cast<std::size_t>((dense + n) % n)])]
+        .block;
+  };
+  const int wnext = group_[static_cast<std::size_t>((crank_ + 1) % n)];
+  const int wprev = group_[static_cast<std::size_t>((crank_ + n - 1) % n)];
+  const std::uint64_t prev_flow_base =
+      table.slots[static_cast<std::size_t>(wprev)].flow_base;
+  const std::size_t steps = static_cast<std::size_t>(n - 1);
+  // This rank's side of the ring, step by step: forward the block of
+  // origin rank - step, then receive the one of origin rank - 1 - step.
+  for (int step = 0; step < n - 1; ++step) {
+    const int tag = tag_base + step;
+    (void)account_send(wnext, tag, block(crank_ - step).size(),
+                       flow_id(rank_, flow_seq_++));
+    account_recv(wprev, tag, block(crank_ - 1 - step).size(),
+                 table.arrivals[static_cast<std::size_t>(crank_) * steps +
+                                static_cast<std::size_t>(step)],
+                 flow_id(wprev, prev_flow_base +
+                                    static_cast<std::uint64_t>(step)));
+  }
+  std::vector<std::span<const std::uint8_t>> out;
+  out.reserve(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) out.emplace_back(block(r));
+  return out;
 }
 
 void Comm::barrier(std::source_location loc) {
@@ -127,6 +183,7 @@ Comm::ShrinkInfo Comm::shrink() {
   crank_ = static_cast<int>(self - group_.begin());
   fail_pending_ = false;
   known_deaths_ = res.deaths;
+  allgather_parity_ = 0;  // survivors may have diverged while unwinding
   epoch_bytes_put_ = 0;  // any half-open epoch died with the old world
   // Realign the rendezvous generation: the agreement consumed exactly one
   // global generation (RunState burned it), regardless of how far this

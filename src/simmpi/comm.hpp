@@ -115,6 +115,17 @@ class Comm {
     return ar.get<T>();
   }
 
+  // The exchange behind simmpi::allgather: one rendezvous in which every
+  // rank deposits `mine`, then a replay of this rank's n - 1 steps of the
+  // ring allgather (tags tag_base + step) through the same accounting as
+  // send_bytes/recv_bytes — sim clock, CommStats, kSend/kRecv events and
+  // checker calls come out as the message-by-message ring's.  Returns every
+  // rank's block by dense rank; the spans stay valid until this rank enters
+  // its next allgather.  Throws RankDeadError on every survivor when a peer
+  // died before the rendezvous completed.
+  [[nodiscard]] std::vector<std::span<const std::uint8_t>> allgather_bytes(
+      std::vector<std::uint8_t> mine, int tag_base);
+
   // -- synchronization ------------------------------------------------------
   void barrier(std::source_location loc = std::source_location::current());
 
@@ -182,6 +193,21 @@ class Comm {
     if (fail_pending_) throw RankDeadError{};
   }
 
+  // Accounting halves of send_bytes/recv_bytes (checker, CommStats, sim
+  // clock, kSend/kRecv events); the allgather replay calls them without a
+  // mailbox.  account_send returns the message's arrival time at `wdst`.
+  double account_send(int wdst, int tag, std::size_t bytes,
+                      std::uint64_t flow);
+  void account_recv(int wsrc, int tag, std::size_t bytes, double arrival,
+                    std::uint64_t flow);
+  // Causal id of the `seq`-th message sent by world rank `wrank`.
+  [[nodiscard]] static std::uint64_t flow_id(int wrank,
+                                             std::uint64_t seq) noexcept {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(wrank))
+            << 32) |
+           static_cast<std::uint32_t>(seq);
+  }
+
   RunState* state_;
   int rank_;  // world rank (thread identity, mailbox/store/topology key)
   obs::RankTelemetry* obs_ = nullptr;
@@ -191,14 +217,18 @@ class Comm {
   std::uint64_t epoch_bytes_recv_ = 0;
   int next_win_id_ = 0;  // advances identically on all ranks (collective)
   std::uint64_t flow_seq_ = 0;  // per-rank send counter -> Message::flow ids
-  // Rendezvous generation.  barrier() and Window::fence() are the only
-  // operations that enter RunState::sync, and both are collective, so this
-  // counter advances identically on all ranks; collprof uses it to group
-  // each rank's kSyncBegin/kSyncEnd pair into one cross-rank rendezvous.
+  // Barrier generation.  barrier() and Window::fence() are the only
+  // operations that advance it (allgather's rendezvous does not), and both
+  // are collective, so this counter advances identically on all ranks;
+  // collprof uses it to group each rank's kSyncBegin/kSyncEnd pair into one
+  // cross-rank rendezvous.
   // Survivors can diverge transiently while a failure unwinds (some threw
   // at entry, some from inside sync); shrink() realigns every survivor to
   // the generation after the agreement step.
   std::uint64_t sync_seq_ = 0;
+  // Which of RunState's two allgather tables the next allgather uses;
+  // flips identically on all ranks, and shrink() resets it.
+  int allgather_parity_ = 0;
   // Current dense group: index = dense rank, value = world rank.
   std::vector<int> group_;
   int crank_;  // this rank's dense position in group_

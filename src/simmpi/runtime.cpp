@@ -55,6 +55,42 @@ void Mailbox::drain() {
   queues_.clear();
 }
 
+namespace {
+
+// Fills `table.arrivals` for the ring over `group` (dense -> world ranks)
+// from the deposited entry clocks and block sizes.
+void fill_ring_arrivals(const sim::ClusterConfig& cl, AllgatherTable& table,
+                        const std::vector<int>& group) {
+  const std::size_t n = group.size();
+  if (n < 2) return;
+  const std::size_t steps = n - 1;
+  std::vector<sim::SimClock> clocks(n);
+  std::vector<std::size_t> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& slot = table.slots[static_cast<std::size_t>(group[i])];
+    clocks[i].reset(slot.entry);
+    bytes[i] = slot.block.size();
+  }
+  table.arrivals.assign(n * steps, 0.0);
+  // Step s of the ring: dense rank i sends the block of origin i - s to
+  // i + 1, then receives the block of origin i - 1 - s from i - 1.  All
+  // sends of a step only depend on the previous step's receives, so the
+  // whole ring is evaluated step by step in one pass.
+  for (std::size_t s = 0; s < steps; ++s) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t to = (i + 1) % n;
+      table.arrivals[to * steps + s] = clock_send(
+          cl, clocks[i], group[i], group[to], bytes[(i + n - s) % n]);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      clock_recv(cl, clocks[i], table.arrivals[i * steps + s],
+                 bytes[(i + 2 * n - 1 - s) % n]);
+    }
+  }
+}
+
+}  // namespace
+
 }  // namespace detail
 
 RunState::RunState(int nranks, RuntimeOptions opts)
@@ -68,6 +104,9 @@ RunState::RunState(int nranks, RuntimeOptions opts)
       static_cast<std::size_t>(nranks));
   for (int i = 0; i < nranks; ++i) {
     member_[static_cast<std::size_t>(i)].store(detail::kMemberLive);
+  }
+  for (auto& table : allgather_) {
+    table.slots.resize(static_cast<std::size_t>(nranks));
   }
   if (opts_.telemetry) opts_.telemetry->begin_run(nranks);
 }
@@ -112,17 +151,45 @@ void RunState::complete_sync_locked() {
   sync_max_ = 0.0;
   sync_on_release_ = nullptr;
   ++sync_gen_;
+  if (sync_barrier_like_) ++barrier_gen_;
   sync_cv_.notify_all();
 }
 
 RunState::SyncResult RunState::sync(
     double my_time, const std::function<double(double)>& on_release) {
   std::unique_lock lk(sync_mu_);
+  return sync_locked(lk, my_time, on_release, true);
+}
+
+RunState::SyncResult RunState::allgather_sync(int parity, int rank,
+                                              const std::vector<int>& group,
+                                              detail::AllgatherSlot mine) {
+  auto& table = allgather_[static_cast<std::size_t>(parity)];
+  const double entry = mine.entry;
+  // Stays valid while this rank blocks in the rendezvous, like a fence's
+  // closure; it reads only the table and `group`, which every rank of the
+  // rendezvous shares.
+  const std::function<double(double)> ring = [this, &table,
+                                              &group](double max_clock) {
+    detail::fill_ring_arrivals(opts_.cluster, table, group);
+    return max_clock;
+  };
+  std::unique_lock lk(sync_mu_);
+  table.slots[static_cast<std::size_t>(rank)] = std::move(mine);
+  return sync_locked(lk, entry, ring, false);
+}
+
+RunState::SyncResult RunState::sync_locked(
+    std::unique_lock<std::mutex>& lk, double my_time,
+    const std::function<double(double)>& on_release, bool barrier_like) {
   if (aborted_.load()) throw AbortedError{};
   // Once a shrink revoked the old world, no rendezvous of that world can
   // complete (the parked ranks will never arrive) — unwind immediately.
   if (revoked_.load()) throw RankDeadError{};
   const std::uint64_t gen = sync_gen_;
+  // Every rank of one rendezvous runs the same collective (SPMD), so the
+  // first arrival's kind is the rendezvous's kind.
+  if (sync_count_ == 0) sync_barrier_like_ = barrier_like;
   sync_max_ = std::max(sync_max_, my_time);
   if (on_release && !sync_on_release_) {
     // All ranks pass the same semantic closure for the same collective
@@ -228,11 +295,9 @@ void RunState::maybe_complete_shrink_locked() {
   }
   parked_count_ = 0;
   shrink_max_ = 0.0;
-  // Burn one rendezvous generation on the agreement so collprof's
-  // kSyncBegin/End pairing cannot collide with the next barrier.  No sync
-  // waiter exists at this point (a waiter would not be parked), so
-  // advancing the generation wakes nobody spuriously.
-  res.sync_gen = sync_gen_++;
+  // Burn one barrier generation on the agreement so collprof's
+  // kSyncBegin/End pairing cannot collide with the next barrier.
+  res.sync_gen = barrier_gen_++;
   shrink_result_ = std::move(res);
   revoked_.store(false);
   ++shrink_gen_;

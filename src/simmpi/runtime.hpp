@@ -17,6 +17,7 @@
 // smaller world (see DESIGN.md §12).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -167,6 +168,38 @@ class Mailbox {
   std::map<Key, std::deque<Message>> queues_;
 };
 
+// Sim-clock arithmetic of one point-to-point message.  Comm's send/recv
+// and the allgather's ring table (RunState::allgather_sync) both go through
+// these two functions, so the replayed ring produces the same bits as the
+// message-by-message one.
+// Sender: copy-out, then the flight; returns the arrival time at `dst`.
+inline double clock_send(const sim::ClusterConfig& cl, sim::SimClock& clock,
+                         int src, int dst, std::size_t bytes) noexcept {
+  clock.advance(static_cast<double>(bytes) / cl.mem_bandwidth_bps);
+  return clock.now() + cl.message_time(src, dst, bytes);
+}
+// Receiver: wait for the arrival, then copy-in.
+inline void clock_recv(const sim::ClusterConfig& cl, sim::SimClock& clock,
+                       double arrival, std::size_t bytes) noexcept {
+  clock.at_least(arrival);
+  clock.advance(static_cast<double>(bytes) / cl.mem_bandwidth_bps);
+}
+
+// One rank's deposit in an allgather rendezvous.
+struct AllgatherSlot {
+  std::vector<std::uint8_t> block;  // serialized contribution
+  double entry = 0.0;               // sim clock at entry
+  std::uint64_t flow_base = 0;      // sender's next flow sequence number
+};
+
+// One of the two alternating allgather tables (RunState::allgather_sync).
+struct AllgatherTable {
+  std::vector<AllgatherSlot> slots;  // indexed by world rank
+  // Ring arrival times, [dense rank * (n - 1) + step]: when the block that
+  // dense rank receives at `step` arrives from its predecessor.
+  std::vector<double> arrivals;
+};
+
 struct WindowState {
   explicit WindowState(int nranks, int nnodes)
       : buffers(nranks),
@@ -261,6 +294,20 @@ class RunState {
   SyncResult sync(double my_time,
                   const std::function<double(double)>& on_release = nullptr);
 
+  // The rendezvous behind simmpi::allgather (DESIGN.md §2.1).  Deposits
+  // `mine` at `rank` (world) in the table of `parity`, then syncs like a
+  // barrier that aligns no clock: the completing agent fills the table's
+  // ring arrival times over `group` (dense -> world ranks).  The table is
+  // read-only until the rendezvous after next, which needs every rank to
+  // have finished this one — hence two tables used alternately.  Does not
+  // advance the barrier generation (ShrinkResult::sync_gen).
+  SyncResult allgather_sync(int parity, int rank, const std::vector<int>& group,
+                            detail::AllgatherSlot mine);
+  [[nodiscard]] const detail::AllgatherTable& allgather_table(
+      int parity) const noexcept {
+    return allgather_[parity];
+  }
+
   // The shrink rendezvous behind Comm::shrink(): parks the calling rank,
   // revokes the old world (unblocking stragglers into RankDeadError), and
   // — once every live rank is parked — drains all mailboxes, fixes the
@@ -271,7 +318,7 @@ class RunState {
     double release = 0.0;  // aligned clock after the agreement step
     std::uint64_t deaths = 0;  // total deaths agreed so far
     std::uint64_t epoch = 0;   // 1-based shrink count
-    std::uint64_t sync_gen = 0;  // rendezvous generation of the agreement
+    std::uint64_t sync_gen = 0;  // barrier generation of the agreement
     std::vector<int> alive;      // surviving world ranks, ascending
   };
   ShrinkResult shrink_rendezvous(int rank, double my_time);
@@ -286,7 +333,11 @@ class RunState {
   [[nodiscard]] double barrier_cost() const noexcept;
 
  private:
-  // Both require sync_mu_ held.
+  // These three require sync_mu_ held.  `barrier_like` marks a barrier or
+  // fence rendezvous, the only kind that advances barrier_gen_.
+  SyncResult sync_locked(std::unique_lock<std::mutex>& lk, double my_time,
+                         const std::function<double(double)>& on_release,
+                         bool barrier_like);
   void complete_sync_locked();
   void maybe_complete_shrink_locked();
   void wake_blocked_ranks();
@@ -309,13 +360,22 @@ class RunState {
   int parked_count_ = 0;  // guarded by sync_mu_
   std::uint64_t death_count_ = 0;  // guarded by sync_mu_
   int sync_count_ = 0;
-  std::uint64_t sync_gen_ = 0;
+  std::uint64_t sync_gen_ = 0;  // completed rendezvous of any kind
+  // Completed barrier/fence rendezvous plus shrink agreements: the
+  // generation Comm stamps on kSyncBegin/End, so an allgather in between
+  // never shifts the trace's sync ids.
+  std::uint64_t barrier_gen_ = 0;
+  bool sync_barrier_like_ = false;  // kind of the in-progress rendezvous
   double sync_max_ = 0.0;
   double sync_release_ = 0.0;
   std::uint64_t sync_deaths_ = 0;
   // First non-null on_release of the in-progress rendezvous; stays valid
   // because its owner blocks inside sync() until the release.
   const std::function<double(double)>* sync_on_release_ = nullptr;
+  // Allgather slot tables, used alternately (guarded by sync_mu_ while a
+  // rendezvous on them is open; read-only from its release until the
+  // rendezvous of the other table completes).
+  std::array<detail::AllgatherTable, 2> allgather_;
   // Shrink rendezvous state (guarded by sync_mu_).
   std::uint64_t shrink_gen_ = 0;
   std::uint64_t shrink_epoch_ = 0;

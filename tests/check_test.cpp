@@ -267,6 +267,28 @@ TEST(Checker, DetectsMessageLeakAtFinalize) {
   EXPECT_NE(v.detail.find("0->1 tag 7 (1)"), std::string::npos) << v.detail;
 }
 
+TEST(Checker, ChannelBalanceIsSignedAndOrderFree) {
+  // The allgather replays its ring after one rendezvous, so a receive can
+  // be recorded before the send it matches: that must balance, while a
+  // receive no send ever matches is reported like an unreceived send.
+  check::Checker checker;
+  checker.run_begin(3, [] {});
+  checker.on_recv(1, 0, 7, 8);  // replayed receive first...
+  checker.on_send(0, 1, 7, 8);  // ...then the peer's replayed send
+  checker.on_recv(2, 1, 9, 4);  // never sent
+  const auto err = checker.run_end(false);
+  ASSERT_NE(err, nullptr);
+  try {
+    std::rethrow_exception(err);
+  } catch (const check::ViolationError& e) {
+    EXPECT_EQ(e.violation().kind, check::ViolationKind::kMessageLeak);
+    EXPECT_NE(e.violation().detail.find("1->2 tag 9 (-1)"), std::string::npos)
+        << e.violation().detail;
+    EXPECT_EQ(e.violation().detail.find("0->1"), std::string::npos)
+        << e.violation().detail;
+  }
+}
+
 TEST(Checker, WatchdogConvertsDeadlockIntoStuckReport) {
   check::CheckerConfig cfg;
   cfg.watchdog_s = 0.3;

@@ -1,6 +1,7 @@
 // Chunker, ChunkStore and Manifest semantics, including failure behaviour.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 #include <vector>
 
@@ -188,6 +189,136 @@ TEST(ChunkStore, ClearResetsEverything) {
   EXPECT_EQ(store.chunk_count(), 0u);
   EXPECT_EQ(store.stored_bytes(), 0u);
   EXPECT_EQ(store.manifest_for(0), nullptr);
+}
+
+// -- ChunkStore index ----------------------------------------------------------
+
+// Fingerprint whose first 8 bytes are `prefix` and whose remaining bytes
+// carry `tail`, so distinct tails share the probe key.
+Fingerprint with_prefix(std::uint64_t prefix, std::uint32_t tail) {
+  Fingerprint fp = Fingerprint::from_u64(prefix);
+  auto bytes = fp.bytes();
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[16 + i] = static_cast<std::uint8_t>(tail >> (8 * i));
+  }
+  return fp;
+}
+
+TEST(ChunkStoreIndex, SharedPrefixesStayDistinct) {
+  ChunkStore store;
+  for (std::uint32_t t = 0; t < 40; ++t) {
+    const auto payload = iota_bytes(t + 1, static_cast<std::uint8_t>(t));
+    EXPECT_TRUE(store.put(with_prefix(0xfeedULL, t), payload));
+  }
+  EXPECT_EQ(store.chunk_count(), 40u);
+  for (std::uint32_t t = 0; t < 40; ++t) {
+    const auto fp = with_prefix(0xfeedULL, t);
+    ASSERT_TRUE(store.get(fp).has_value()) << t;
+    EXPECT_EQ(store.get(fp)->size(), t + 1u);
+    EXPECT_EQ((*store.get(fp))[0], static_cast<std::uint8_t>(t));
+    EXPECT_EQ(store.chunk_length(fp), t + 1u);
+  }
+  EXPECT_FALSE(store.contains(with_prefix(0xfeedULL, 40)));
+  EXPECT_FALSE(store.contains(with_prefix(0xbeefULL, 0)));
+}
+
+TEST(ChunkStoreIndex, LookupsHoldAcrossTableGrowths) {
+  ChunkStore store;
+  constexpr std::uint64_t kChunks = 5000;  // doubles the table ten times
+  std::uint64_t bytes = 0;
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    // Keys that differ only in high prefix bytes as well as low ones.
+    const auto fp = Fingerprint::from_u64(i % 2 == 0 ? i : i << 40);
+    const auto payload = iota_bytes(i % 61 + 1, static_cast<std::uint8_t>(i));
+    ASSERT_TRUE(store.put(fp, payload));
+    bytes += payload.size();
+    // Everything stored so far is still found, nothing else is.
+    if ((i & (i + 1)) == 0) {
+      for (std::uint64_t j = 0; j <= i; ++j) {
+        const auto fj = Fingerprint::from_u64(j % 2 == 0 ? j : j << 40);
+        ASSERT_TRUE(store.contains(fj)) << j << " after " << i;
+        ASSERT_EQ(store.chunk_length(fj), j % 61 + 1) << j;
+        ASSERT_EQ((*store.get(fj))[0], static_cast<std::uint8_t>(j)) << j;
+      }
+      EXPECT_FALSE(store.contains(Fingerprint::from_u64(kChunks * 4 + i)));
+    }
+  }
+  EXPECT_EQ(store.chunk_count(), kChunks);
+  EXPECT_EQ(store.stored_bytes(), bytes);
+}
+
+TEST(ChunkStoreIndex, DuplicatePutKeepsFirstPayloadAndBytes) {
+  ChunkStore store;
+  const auto first = iota_bytes(32, 1);
+  const auto second = iota_bytes(48, 9);
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    ASSERT_TRUE(store.put(Fingerprint::from_u64(i), first));
+  }
+  const std::uint64_t before = store.stored_bytes();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    EXPECT_FALSE(store.put(Fingerprint::from_u64(i), second));
+  }
+  EXPECT_EQ(store.stored_bytes(), before);
+  EXPECT_EQ(store.chunk_count(), 20u);
+  EXPECT_EQ(store.get(Fingerprint::from_u64(7))->size(), 32u);
+  EXPECT_EQ((*store.get(Fingerprint::from_u64(7)))[0], 1);
+}
+
+TEST(ChunkStoreIndex, EmptiedStoresAcceptTheSameFingerprintsAgain) {
+  const auto payload = iota_bytes(16);
+  const auto fill = [&](ChunkStore& store) {
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(store.put(Fingerprint::from_u64(i), payload));
+    }
+  };
+  ChunkStore cleared;
+  ChunkStore wiped;
+  ChunkStore replaced;
+  for (ChunkStore* s : {&cleared, &wiped, &replaced}) fill(*s);
+  cleared.clear();
+  wiped.wipe();
+  replaced.fail();
+  replaced.recover_empty();
+  for (ChunkStore* s : {&cleared, &wiped, &replaced}) {
+    EXPECT_EQ(s->chunk_count(), 0u);
+    EXPECT_EQ(s->stored_bytes(), 0u);
+    EXPECT_FALSE(s->contains(Fingerprint::from_u64(5)));
+    fill(*s);
+    EXPECT_EQ(s->chunk_count(), 100u);
+    EXPECT_EQ(s->stored_bytes(), 1600u);
+    EXPECT_TRUE(s->contains(Fingerprint::from_u64(99)));
+  }
+}
+
+TEST(ChunkStoreIndex, ForEachChunkVisitsEveryChunkOnce) {
+  ChunkStore store(chunk::StoreMode::kAccounting);
+  std::map<Fingerprint, std::uint32_t> want;
+  for (std::uint64_t i = 0; i < 300; ++i) {
+    const auto fp = Fingerprint::from_u64(i * 0x9e3779b97f4a7c15ULL);
+    const auto len = static_cast<std::uint32_t>(i + 1);
+    ASSERT_TRUE(store.put_accounted(fp, len));
+    (void)store.put_accounted(fp, len);  // duplicate: still one visit
+    want[fp] = len;
+  }
+  std::map<Fingerprint, std::uint32_t> seen;
+  store.for_each_chunk([&](const Fingerprint& fp, std::uint32_t len) {
+    EXPECT_TRUE(seen.emplace(fp, len).second) << "visited twice";
+  });
+  EXPECT_EQ(seen, want);
+}
+
+TEST(ChunkStoreIndex, SpansFromGetSurviveLaterPuts) {
+  ChunkStore store;
+  const auto payload = iota_bytes(100, 3);
+  ASSERT_TRUE(store.put(Fingerprint::from_u64(1), payload));
+  const auto span = *store.get(Fingerprint::from_u64(1));
+  const std::uint8_t* data = span.data();
+  // Enough puts to grow both the slot vector and the bucket table.
+  for (std::uint64_t i = 2; i < 3000; ++i) {
+    ASSERT_TRUE(store.put(Fingerprint::from_u64(i), iota_bytes(8)));
+  }
+  EXPECT_EQ(store.get(Fingerprint::from_u64(1))->data(), data);
+  EXPECT_TRUE(std::equal(payload.begin(), payload.end(), span.begin()));
 }
 
 // -- Manifests ----------------------------------------------------------------

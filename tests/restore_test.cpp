@@ -145,6 +145,38 @@ TEST(RestoreErrors, PartialFailurePropagatesCollectivelyWithoutDeadlock) {
                core::ManifestLostError);
 }
 
+TEST(RestoreErrors, ImpossibleSegmentSizesThrowBeforeAllocating) {
+  // A stored manifest claiming a segment far larger than its entries add
+  // up to must fail with the documented runtime_error — not bad_alloc or
+  // length_error from sizing a buffer off the claim.
+  constexpr int kRanks = 4;
+  for (const std::uint64_t claim :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    auto run = private_identity_run(kRanks);
+    auto ptrs = test::store_ptrs(run);
+    for (auto& store : run.stores) {
+      const chunk::Manifest* m = store.manifest_for(0);
+      if (m == nullptr) continue;
+      chunk::Manifest forged = *m;
+      forged.epoch += 1;  // newest wins, so restore reads the forgery
+      forged.segment_sizes.assign(1, claim);
+      store.put_manifest(forged);
+    }
+    try {
+      (void)core::restore_rank(ptrs, 0);
+      ADD_FAILURE() << "claim " << claim << " restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("segment sizes"),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "claim " << claim << " threw " << e.what();
+    }
+    // The other ranks' manifests are untouched.
+    EXPECT_EQ(core::restore_rank(ptrs, 1).segments[0], run.datasets[1]);
+  }
+}
+
 TEST(RestoreInput, LossPropagatesAsException) {
   constexpr int kRanks = 4;
   auto run = test::run_dump(kRanks, 2, cfg(), [](int rank) {
