@@ -21,6 +21,7 @@
 #include "apps/minicm.hpp"
 #include "core/collrep.hpp"
 #include "ftrt/checkpoint.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/profile.hpp"
 #include "obs/telemetry.hpp"
 
@@ -287,6 +288,12 @@ inline std::string human_bytes(double bytes) {
 }
 
 inline void print_header(const char* title, const char* paper_ref) {
+  // The dispatched kernel variants depend on the host CPU, so they go to
+  // stderr (scripts/bench_e2e.sh records them) and stdout stays the same on
+  // every host.
+  const auto& k = kernels::dispatch();
+  std::fprintf(stderr, "kernels: gf=%s crc32c=%s sha1=%s hmerge=%s\n",
+               k.gf_name, k.crc32c_name, k.sha1_name, k.hmerge_name);
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
   std::printf("Reproduces: %s\n", paper_ref);

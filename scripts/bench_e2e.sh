@@ -5,7 +5,8 @@
 # after another, and records per-binary host cost from the child's
 # getrusage — wall, user and sys seconds, voluntary/involuntary context
 # switches, minor page faults and peak RSS — with a host fingerprint (CPU
-# model, nproc, build type, commit).  The result is written to
+# model, nproc, build type, commit, and the dispatched data-plane kernel
+# variants each binary reports on stderr).  The result is written to
 # BENCH_e2e.json at the repo root.
 #
 #   scripts/bench_e2e.sh                        # all 21 binaries, 1 run each
@@ -53,6 +54,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 build, reps, out_path, *binaries = sys.argv[1:]
@@ -85,7 +87,19 @@ def host_fingerprint():
         "build_type": build_type,
         "commit": commit,
         "dirty": dirty,
+        "kernels": kernels or "unknown",
     }
+
+
+# Kernel variant per kernel, from the "kernels: gf=... sha1=..." line that
+# bench::print_header writes to stderr.
+kernels = {}
+
+
+def note_kernels(stderr_text):
+    for line in stderr_text.splitlines():
+        if line.startswith("kernels: "):
+            kernels.update(kv.split("=", 1) for kv in line.split()[1:])
 
 
 def run_once(name, rep):
@@ -93,10 +107,13 @@ def run_once(name, rep):
     sink = subprocess.DEVNULL
     if stdout_dir:
         sink = open(os.path.join(stdout_dir, f"{name}.{rep}.txt"), "wb")
-    t0 = time.monotonic()
-    proc = subprocess.Popen([exe], stdout=sink, stderr=subprocess.DEVNULL)
-    _, status, ru = os.wait4(proc.pid, 0)
-    wall = time.monotonic() - t0
+    with tempfile.TemporaryFile() as err:
+        t0 = time.monotonic()
+        proc = subprocess.Popen([exe], stdout=sink, stderr=err)
+        _, status, ru = os.wait4(proc.pid, 0)
+        wall = time.monotonic() - t0
+        err.seek(0)
+        note_kernels(err.read().decode(errors="replace"))
     proc.returncode = os.waitstatus_to_exitcode(status)
     if sink is not subprocess.DEVNULL:
         sink.close()

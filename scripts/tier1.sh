@@ -42,7 +42,8 @@ if [[ -n "${COLLREP_SANITIZE:-}" ]]; then
   # ever sheds the `runtime` label, and `analyze` puts the collcheck rule
   # engine plus its byte-mutation fuzz harness under ASan/UBSan — the
   # analyzer parses arbitrary PR sources and must not be the flaky link.
-  (cd "$san_dir" && ctest -L 'runtime|kernels|recover|analyze' \
+  # `data` adds the archive decoder and the dump and EC data planes.
+  (cd "$san_dir" && ctest -L 'runtime|kernels|recover|analyze|data' \
       --output-on-failure -j)
 fi
 

@@ -1,7 +1,9 @@
 #include "core/group_parity.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,21 +20,47 @@ constexpr int kParityTag = 8 << 20;
 constexpr int kManifestTag = 9 << 20;
 constexpr int kStreamTag = 10 << 20;
 
+// Written raw at the front of every stored parity blob, so it must have
+// no padding bytes: `reserved` fills the hole before shard_len.
 struct ParityHeader {
   std::uint64_t epoch = 0;
   std::int32_t group = 0;
   std::int32_t parity_index = 0;
   std::int32_t group_members = 0;
+  std::uint32_t reserved = 0;
   std::uint64_t shard_len = 0;
 };
-static_assert(std::is_trivially_copyable_v<ParityHeader>);
+static_assert(sizeof(ParityHeader) == 32);
+static_assert(std::has_unique_object_representations_v<ParityHeader>);
 
 std::vector<std::uint8_t> pack_parity(const ParityHeader& header,
                                       std::span<const std::uint8_t> shard) {
   simmpi::OArchive ar;
+  ar.reserve(sizeof header + shard.size());
   ar.put(header);
   ar.write_raw(shard.data(), shard.size());
   return ar.take();
+}
+
+// The length words of the chain image, in the archive's size encoding.
+constexpr std::size_t kWord = sizeof(std::uint64_t);
+
+std::uint64_t read_word(std::span<const std::uint8_t> bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, kWord);
+  return v;
+}
+
+void append_word(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  const std::size_t at = out.size();
+  out.resize(at + kWord);
+  std::memcpy(out.data() + at, &v, kWord);
+}
+
+// Byte offset of row j's length word in a chain image; j == parity gives
+// the image's size.
+std::size_t chain_row_at(int j, std::uint64_t shard_len) {
+  return kWord + static_cast<std::size_t>(j) * (kWord + shard_len);
 }
 
 std::pair<ParityHeader, std::span<const std::uint8_t>> unpack_parity(
@@ -84,6 +112,36 @@ std::string ec_parity_key(int group, int parity_index, std::uint64_t epoch) {
 
 std::string ec_stream_key(int rank, std::uint64_t epoch) {
   return "ecstream/" + std::to_string(rank) + "/" + std::to_string(epoch);
+}
+
+std::vector<std::uint8_t> ec_chain_image(int parity,
+                                         std::uint64_t shard_len) {
+  std::vector<std::uint8_t> image;
+  image.reserve(chain_row_at(parity, shard_len));
+  append_word(image, static_cast<std::uint64_t>(parity));
+  for (int j = 0; j < parity; ++j) {
+    append_word(image, shard_len);
+    image.resize(image.size() + shard_len, 0);
+  }
+  return image;
+}
+
+std::vector<std::span<std::uint8_t>> ec_chain_rows(
+    std::span<std::uint8_t> image, int parity, std::uint64_t shard_len) {
+  if (parity < 0 || image.size() != chain_row_at(parity, shard_len) ||
+      read_word(image, 0) != static_cast<std::uint64_t>(parity)) {
+    throw std::runtime_error("ec: malformed parity chain message");
+  }
+  std::vector<std::span<std::uint8_t>> rows;
+  rows.reserve(static_cast<std::size_t>(parity));
+  for (int j = 0; j < parity; ++j) {
+    const std::size_t at = chain_row_at(j, shard_len);
+    if (read_word(image, at) != shard_len) {
+      throw std::runtime_error("ec: malformed parity chain message");
+    }
+    rows.push_back(image.subspan(at + kWord, shard_len));
+  }
+  return rows;
 }
 
 EcDumper::EcDumper(simmpi::Comm& comm, chunk::ChunkStore& store,
@@ -197,41 +255,45 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
   }
   const std::uint64_t shard_len = stripes * config_.chunk_bytes;
 
-  // ---- own shard --------------------------------------------------------------
-  std::vector<std::uint8_t> own_shard(shard_len, 0);
-  for (std::size_t s = 0; s < stream.size(); ++s) {
-    const auto payload = chunker.bytes(stream[s]);
-    std::copy(payload.begin(), payload.end(),
-              own_shard.begin() +
-                  static_cast<std::ptrdiff_t>(s * config_.chunk_bytes));
-  }
-
   // ---- ring-chain parity accumulation -----------------------------------------
+  // The running parity keeps its wire image (ec_chain_image): member 0
+  // builds it zeroed, every member folds coeff * chunk into each row at the
+  // chunk's stripe offset and moves the buffer on.  A shard's zero padding
+  // adds nothing to a GF(256) multiply-accumulate, so no padded copy of the
+  // stream is made.
   if (config_.parity > 0 && shard_len > 0) {
     const ec::ReedSolomon rs(m_eff, config_.parity);
-    std::vector<std::vector<std::uint8_t>> partial(
-        static_cast<std::size_t>(config_.parity));
-    if (my_index == 0) {
-      for (auto& p : partial) p.assign(shard_len, 0);
-    } else {
-      partial = comm_.recv_value<std::vector<std::vector<std::uint8_t>>>(
-          members[static_cast<std::size_t>(my_index - 1)], kChainTag);
-    }
+    std::vector<std::uint8_t> image =
+        my_index == 0
+            ? ec_chain_image(config_.parity, shard_len)
+            : comm_.recv_bytes(members[static_cast<std::size_t>(my_index - 1)],
+                               kChainTag);
+    const auto rows = ec_chain_rows(image, config_.parity, shard_len);
     for (int j = 0; j < config_.parity; ++j) {
-      ec::gf_mul_add(partial[static_cast<std::size_t>(j)], own_shard,
-                 rs.coeff(j, my_index));
+      const auto row = rows[static_cast<std::size_t>(j)];
+      const std::uint8_t coeff = rs.coeff(j, my_index);
+      for (std::size_t s = 0; s < stream.size(); ++s) {
+        ec::gf_mul_add(row.subspan(s * config_.chunk_bytes),
+                       chunker.bytes(stream[s]), coeff);
+      }
       // GF multiply-accumulate over the shard.
       comm_.charge(static_cast<double>(shard_len) / cluster.mem_bandwidth_bps);
     }
     if (my_index + 1 < m_eff) {
-      comm_.send_value(members[static_cast<std::size_t>(my_index + 1)],
-                       kChainTag, partial);
+      comm_.send_bytes(members[static_cast<std::size_t>(my_index + 1)],
+                       kChainTag, std::move(image));
       stats.sent_bytes +=
           static_cast<std::uint64_t>(config_.parity) * shard_len;
     } else {
       for (int j = 0; j < config_.parity; ++j) {
-        comm_.send_value(holders[static_cast<std::size_t>(j)], kParityTag + j,
-                         partial[static_cast<std::size_t>(j)]);
+        // Each row leaves as a serialized vector<uint8_t>.
+        const auto row = rows[static_cast<std::size_t>(j)];
+        simmpi::OArchive ar;
+        ar.reserve(kWord + row.size());
+        ar.put_size(row.size());
+        ar.write_raw(row.data(), row.size());
+        comm_.send_bytes(holders[static_cast<std::size_t>(j)], kParityTag + j,
+                         ar.take());
         stats.sent_bytes += shard_len;
       }
     }
@@ -250,14 +312,23 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
       for (int j = 0; j < config_.parity; ++j) {
         if (g_holders[static_cast<std::size_t>(j)] != rank) continue;
         if (g_stripes == 0) continue;
-        auto shard = comm_.recv_value<std::vector<std::uint8_t>>(
-            g_members.back(), kParityTag + j);
+        // One serialized vector<uint8_t> holding the group's parity row.
+        const std::uint64_t g_shard_len = g_stripes * config_.chunk_bytes;
+        const auto msg = comm_.recv_bytes(g_members.back(), kParityTag + j);
+        if (msg.size() != kWord + g_shard_len ||
+            read_word(msg, 0) != g_shard_len) {
+          throw std::runtime_error("ec: malformed parity shard message");
+        }
         const ParityHeader header{
-            config_.epoch, g, j, static_cast<std::int32_t>(g_members.size()),
-            static_cast<std::uint64_t>(shard.size())};
-        stats.parity_bytes += shard.size();
-        store_.put_blob(ec_parity_key(g, j, config_.epoch),
-                        pack_parity(header, shard));
+            .epoch = config_.epoch,
+            .group = g,
+            .parity_index = j,
+            .group_members = static_cast<std::int32_t>(g_members.size()),
+            .shard_len = g_shard_len};
+        stats.parity_bytes += g_shard_len;
+        store_.put_blob(
+            ec_parity_key(g, j, config_.epoch),
+            pack_parity(header, std::span(msg).subspan(kWord)));
       }
     }
   }

@@ -23,6 +23,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "chunk/dataset.hpp"
 #include "chunk/store.hpp"
@@ -83,6 +84,17 @@ class EcDumper {
 [[nodiscard]] std::string ec_parity_key(int group, int parity_index,
                                         std::uint64_t epoch);
 [[nodiscard]] std::string ec_stream_key(int rank, std::uint64_t epoch);
+
+// The ring chain's running parity travels as the wire image of a
+// serialized std::vector<std::vector<std::uint8_t>> holding `parity` rows
+// of `shard_len` bytes: a u64 row count, then per row a u64 length and the
+// row.  ec_chain_image returns that image zeroed; ec_chain_rows returns
+// views of its rows after checking the size, count word and length words
+// against the geometry, and throws std::runtime_error on a mismatch.
+[[nodiscard]] std::vector<std::uint8_t> ec_chain_image(
+    int parity, std::uint64_t shard_len);
+[[nodiscard]] std::vector<std::span<std::uint8_t>> ec_chain_rows(
+    std::span<std::uint8_t> image, int parity, std::uint64_t shard_len);
 
 // Restores `rank`'s dumped dataset from the surviving stores, decoding
 // its chunk stream from group survivors + parity when the rank's own

@@ -155,6 +155,8 @@ class IArchive {
     if (n > remaining()) {
       throw std::runtime_error("IArchive: read past end of buffer");
     }
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (n == 0) return;
     std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
   }

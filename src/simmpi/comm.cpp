@@ -7,7 +7,7 @@
 
 namespace collrep::simmpi {
 
-void Comm::send_bytes(int dst, int tag, std::span<const std::uint8_t> data) {
+void Comm::send_bytes(int dst, int tag, std::vector<std::uint8_t>&& data) {
   if (state_->aborted().load()) throw AbortedError{};
   if (dst < 0 || dst >= size()) {
     throw std::out_of_range("simmpi: send to invalid rank");
@@ -18,9 +18,11 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::uint8_t> data) {
   // send strictly before its receive.
   const double arrival = account_send(wdst, tag, data.size(), flow);
   state_->mailbox(wdst).push(
-      rank_, tag,
-      detail::Message{std::vector<std::uint8_t>(data.begin(), data.end()),
-                      arrival, flow});
+      rank_, tag, detail::Message{std::move(data), arrival, flow});
+}
+
+void Comm::send_bytes(int dst, int tag, std::span<const std::uint8_t> data) {
+  send_bytes(dst, tag, std::vector<std::uint8_t>(data.begin(), data.end()));
 }
 
 std::vector<std::uint8_t> Comm::recv_bytes(int src, int tag) {
@@ -210,10 +212,10 @@ Window Comm::win_create(std::size_t local_bytes, std::source_location loc) {
   check_collective(CollFingerprint{.op = CollOp::kWinCreate, .root = id}, loc);
   if (check_) check_->on_win_create(rank_, id, local_bytes);
   if (obs_) ++obs_->comm.windows_created;
-  state_->window_register(rank_, id, local_bytes);
+  auto* ws = state_->window_register(rank_, id, local_bytes);
   barrier();  // all regions allocated before any put
   check_collective_done();
-  return Window(*this, id);
+  return Window(*this, id, ws);
 }
 
 void Window::put(int target, std::size_t offset,
@@ -221,7 +223,6 @@ void Window::put(int target, std::size_t offset,
                  std::uint64_t modeled_bytes, std::source_location loc) {
   if (!comm_) throw std::logic_error("simmpi: put on invalid window");
   if (modeled_bytes == 0) modeled_bytes = data.size();
-  auto& ws = comm_->state_->window(id_);
   if (target < 0 || target >= comm_->size()) {
     throw std::out_of_range("simmpi: put to invalid rank");
   }
@@ -230,35 +231,30 @@ void Window::put(int target, std::size_t offset,
     ck->on_put(comm_->rank_, id_, wtarget, offset, data.size(),
                CallSite::from(loc));
   }
+  const auto& cl = comm_->cluster();
+  const bool same_node = cl.same_node(comm_->rank_, wtarget);
   {
-    std::scoped_lock lk(ws.locks[static_cast<std::size_t>(wtarget)]);
-    auto& buf = ws.buffers[static_cast<std::size_t>(wtarget)];
-    if (offset + data.size() > buf.size()) {
+    auto& region = state_->regions[static_cast<std::size_t>(wtarget)];
+    std::scoped_lock lk(region.mu);
+    const std::size_t size = region.bytes.size();
+    if (offset > size || data.size() > size - offset) {
       throw std::out_of_range("simmpi: put beyond window bounds");
     }
-    std::memcpy(buf.data() + offset, data.data(), data.size());
-  }
-  const auto& cl = comm_->cluster();
-  const int src_node = cl.node_of(comm_->world_rank());
-  const int dst_node = cl.node_of(wtarget);
-  {
-    std::scoped_lock lk(ws.acct_mu);
-    if (src_node == dst_node) {
-      ws.node_intra[static_cast<std::size_t>(src_node)] += modeled_bytes;
-    } else {
-      ws.node_inter_sent[static_cast<std::size_t>(src_node)] += modeled_bytes;
-      ws.node_inter_recv[static_cast<std::size_t>(dst_node)] += modeled_bytes;
+    if (!data.empty()) {
+      std::memcpy(region.bytes.data() + offset, data.data(), data.size());
     }
-    ws.rank_recv[static_cast<std::size_t>(wtarget)] += modeled_bytes;
-    ws.last_put_issue = std::max(ws.last_put_issue, comm_->clock().now());
+    (same_node ? region.intra_bytes : region.inter_bytes) += modeled_bytes;
   }
+  auto& mine = state_->sources[static_cast<std::size_t>(comm_->rank_)];
+  if (!same_node) mine.inter_bytes += modeled_bytes;
+  mine.last_issue = std::max(mine.last_issue, comm_->clock().now());
   comm_->epoch_bytes_put_ += modeled_bytes;
   if (auto* t = comm_->obs_) {
     auto& cs = t->comm;
     ++cs.puts;
     cs.put_bytes += modeled_bytes;
-    (src_node == dst_node ? cs.intra_node_put_bytes
-                          : cs.inter_node_put_bytes) += modeled_bytes;
+    (same_node ? cs.intra_node_put_bytes : cs.inter_node_put_bytes) +=
+        modeled_bytes;
     t->event(obs::EventKind::kPut, comm_->clock().now(), "put", modeled_bytes,
              static_cast<std::uint64_t>(wtarget));
   }
@@ -267,14 +263,12 @@ void Window::put(int target, std::size_t offset,
 
 std::span<std::uint8_t> Window::local() {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  auto& ws = comm_->state_->window(id_);
-  return ws.buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return state_->regions[static_cast<std::size_t>(comm_->world_rank())].bytes;
 }
 
 std::span<const std::uint8_t> Window::local() const {
   if (!comm_) throw std::logic_error("simmpi: local() on invalid window");
-  auto& ws = comm_->state_->window(id_);
-  return ws.buffers[static_cast<std::size_t>(comm_->world_rank())];
+  return state_->regions[static_cast<std::size_t>(comm_->world_rank())].bytes;
 }
 
 void Window::fence(unsigned flags, std::source_location loc) {
@@ -284,7 +278,6 @@ void Window::fence(unsigned flags, std::source_location loc) {
       CollFingerprint{.op = CollOp::kWinFence, .root = id_, .flags = flags},
       loc);
   comm_->fault_point("win.fence");
-  auto& ws = comm_->state_->window(id_);
   const auto& cl = comm_->cluster();
   const std::uint64_t gen = comm_->sync_seq_++;
   if (auto* t = comm_->obs_) {
@@ -294,44 +287,22 @@ void Window::fence(unsigned flags, std::source_location loc) {
   RunState::SyncResult sr;
   try {
     // The release closure captures only window/cluster state, never the
-    // calling rank's frame beyond `ws`/`cl` — it may run on whichever
-    // thread completes the rendezvous (including a dying rank's).
-    sr = comm_->state_->sync(
-        comm_->clock().now(), [&ws, &cl](double max_clock) {
-          // Bulk-synchronous epoch: each node's NIC moves its inter-node
-          // bytes at link rate, intra-node traffic moves at memory rate;
-          // the epoch lasts as long as the busiest resource.
-          std::scoped_lock lk(ws.acct_mu);
-          double epoch = 0.0;
-          for (std::size_t n = 0; n < ws.node_inter_sent.size(); ++n) {
-            const double out = static_cast<double>(ws.node_inter_sent[n]) /
-                               cl.net_bandwidth_bps;
-            const double in = static_cast<double>(ws.node_inter_recv[n]) /
-                              cl.net_bandwidth_bps;
-            const double mem =
-                static_cast<double>(ws.node_intra[n]) / cl.mem_bandwidth_bps;
-            epoch = std::max({epoch, out, in, mem});
-          }
-          const double start = std::max(max_clock, ws.last_put_issue);
-          std::fill(ws.node_inter_sent.begin(), ws.node_inter_sent.end(), 0);
-          std::fill(ws.node_inter_recv.begin(), ws.node_inter_recv.end(), 0);
-          std::fill(ws.node_intra.begin(), ws.node_intra.end(), 0);
-          // Publish this epoch's per-rank deliveries and reset the
-          // open-epoch tally.  All ranks are still blocked in sync() here,
-          // so nobody can issue a next-epoch put before the swap, and every
-          // rank reads its epoch slot before it can reach the next fence.
-          ws.rank_recv.swap(ws.rank_recv_epoch);
-          std::fill(ws.rank_recv.begin(), ws.rank_recv.end(), 0);
-          ws.last_put_issue = 0.0;
-          return start + epoch + cl.net_latency_s;
-        });
+    // calling rank's frame — it may run on whichever thread completes the
+    // rendezvous (including a dying rank's).  Every live rank is parked in
+    // the rendezvous while it folds the tallies, so no put races it, and
+    // every rank reads its `delivered` slot before it can reach the next
+    // fence.
+    sr = comm_->state_->sync(comm_->clock().now(),
+                             [ws = state_, &cl](double max_clock) {
+                               return ws->close_epoch(cl, max_clock);
+                             });
   } catch (const RankDeadError&) {
     comm_->fail_pending_ = true;
     throw;
   }
   comm_->clock().at_least(sr.release);
   comm_->epoch_bytes_recv_ =
-      ws.rank_recv_epoch[static_cast<std::size_t>(comm_->world_rank())];
+      state_->delivered[static_cast<std::size_t>(comm_->world_rank())];
   if (auto* t = comm_->obs_) {
     ++t->comm.window_epochs;
     t->event(obs::EventKind::kSyncEnd, comm_->clock().now(), "fence",
@@ -375,6 +346,7 @@ void Window::release() {
   } catch (...) {
   }
   comm_ = nullptr;
+  state_ = nullptr;
   id_ = -1;
 }
 

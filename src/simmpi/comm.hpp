@@ -98,6 +98,9 @@ class Comm {
   }
 
   // -- point to point -------------------------------------------------------
+  // The rvalue overload moves `data` into the message; the span overload
+  // copies it once and delegates.
+  void send_bytes(int dst, int tag, std::vector<std::uint8_t>&& data);
   void send_bytes(int dst, int tag, std::span<const std::uint8_t> data);
   [[nodiscard]] std::vector<std::uint8_t> recv_bytes(int src, int tag);
 
@@ -105,7 +108,7 @@ class Comm {
   void send_value(int dst, int tag, const T& value) {
     OArchive ar;
     ar.put(value);
-    send_bytes(dst, tag, ar.bytes());
+    send_bytes(dst, tag, ar.take());
   }
 
   template <class T>
@@ -243,7 +246,8 @@ class Comm {
 class Window {
  public:
   Window() = default;
-  Window(Comm& comm, int id) : comm_(&comm), id_(id) {}
+  Window(Comm& comm, int id, detail::WindowState* state)
+      : comm_(&comm), state_(state), id_(id) {}
   Window(Window&& o) noexcept { swap(o); }
   Window& operator=(Window&& o) noexcept {
     if (this != &o) {
@@ -289,10 +293,14 @@ class Window {
   void release();
   void swap(Window& o) noexcept {
     std::swap(comm_, o.comm_);
+    std::swap(state_, o.state_);
     std::swap(id_, o.id_);
   }
 
   Comm* comm_ = nullptr;
+  // Shared with every rank's handle; RunState keeps it alive until this
+  // rank releases the window.
+  detail::WindowState* state_ = nullptr;
   int id_ = -1;
 };
 

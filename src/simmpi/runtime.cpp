@@ -55,6 +55,41 @@ void Mailbox::drain() {
   queues_.clear();
 }
 
+double WindowState::close_epoch(const sim::ClusterConfig& cl,
+                                double max_clock) {
+  const std::size_t nnodes =
+      static_cast<std::size_t>(cl.node_count(static_cast<int>(regions.size())));
+  std::vector<std::uint64_t> out(nnodes, 0);
+  std::vector<std::uint64_t> in(nnodes, 0);
+  std::vector<std::uint64_t> mem(nnodes, 0);
+  double start = max_clock;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const auto node = static_cast<std::size_t>(cl.node_of(static_cast<int>(r)));
+    auto& region = regions[r];
+    auto& source = sources[r];
+    out[node] += source.inter_bytes;
+    in[node] += region.inter_bytes;
+    // A same-node put lands on its source's node, so the target's node
+    // carries the memory traffic.
+    mem[node] += region.intra_bytes;
+    delivered[r] = region.intra_bytes + region.inter_bytes;
+    start = std::max(start, source.last_issue);
+    region.intra_bytes = 0;
+    region.inter_bytes = 0;
+    source = SourceTally{};
+  }
+  // Bulk-synchronous epoch: each node's NIC moves its inter-node bytes at
+  // link rate, intra-node traffic moves at memory rate.
+  double epoch = 0.0;
+  for (std::size_t n = 0; n < nnodes; ++n) {
+    epoch = std::max({epoch,
+                      static_cast<double>(out[n]) / cl.net_bandwidth_bps,
+                      static_cast<double>(in[n]) / cl.net_bandwidth_bps,
+                      static_cast<double>(mem[n]) / cl.mem_bandwidth_bps});
+  }
+  return start + epoch + cl.net_latency_s;
+}
+
 namespace {
 
 // Fills `table.arrivals` for the ring over `group` (dense -> world ranks)
@@ -304,24 +339,16 @@ void RunState::maybe_complete_shrink_locked() {
   sync_cv_.notify_all();
 }
 
-void RunState::window_register(int rank, int id, std::size_t bytes) {
+detail::WindowState* RunState::window_register(int rank, int id,
+                                               std::size_t bytes) {
   std::scoped_lock lk(win_mu_);
   if (static_cast<std::size_t>(id) >= windows_.size()) {
     windows_.resize(static_cast<std::size_t>(id) + 1);
   }
   auto& slot = windows_[static_cast<std::size_t>(id)];
-  if (!slot) {
-    slot = std::make_unique<detail::WindowState>(
-        nranks_, opts_.cluster.node_count(nranks_));
-  }
-  slot->buffers[static_cast<std::size_t>(rank)].assign(bytes, 0);
-}
-
-detail::WindowState& RunState::window(int id) {
-  std::scoped_lock lk(win_mu_);
-  auto& ws = windows_.at(static_cast<std::size_t>(id));
-  if (!ws) throw std::logic_error("simmpi: window already freed");
-  return *ws;
+  if (!slot) slot = std::make_unique<detail::WindowState>(nranks_);
+  slot->regions[static_cast<std::size_t>(rank)].bytes.assign(bytes, 0);
+  return slot.get();
 }
 
 void RunState::window_free(int rank, int id) {

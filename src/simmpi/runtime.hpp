@@ -200,32 +200,46 @@ struct AllgatherTable {
   std::vector<double> arrivals;
 };
 
+// One collective window.  A put takes only its target region's lock; the
+// open epoch's modelled traffic is tallied per rank (DESIGN.md §2.2) and
+// folded into per-node totals by the fence that closes the epoch.
 struct WindowState {
-  explicit WindowState(int nranks, int nnodes)
-      : buffers(nranks),
-        locks(std::make_unique<std::mutex[]>(static_cast<std::size_t>(nranks))),
-        node_inter_sent(nnodes, 0),
-        node_inter_recv(nnodes, 0),
-        node_intra(nnodes, 0),
-        rank_recv(static_cast<std::size_t>(nranks), 0),
-        rank_recv_epoch(static_cast<std::size_t>(nranks), 0),
+  explicit WindowState(int nranks)
+      : regions(static_cast<std::size_t>(nranks)),
+        sources(static_cast<std::size_t>(nranks)),
+        delivered(static_cast<std::size_t>(nranks), 0),
         freed(static_cast<std::size_t>(nranks), 0) {}
 
-  std::vector<std::vector<std::uint8_t>> buffers;  // one region per rank
-  std::unique_ptr<std::mutex[]> locks;             // guards buffers[i]
+  // One rank's exposed memory and the modelled bytes the open epoch put
+  // into it, split by whether the putter shares the target's node.  `mu`
+  // guards all three against concurrent putters.
+  struct alignas(64) Region {
+    std::mutex mu;
+    std::vector<std::uint8_t> bytes;
+    std::uint64_t intra_bytes = 0;
+    std::uint64_t inter_bytes = 0;
+  };
+  // What one rank issued in the open epoch.  Only that rank writes it, so
+  // it needs no lock; the fence reads it while every rank is parked.
+  struct alignas(64) SourceTally {
+    std::uint64_t inter_bytes = 0;  // modelled bytes sent off-node
+    double last_issue = 0.0;        // latest sim clock at which it put
+  };
 
-  // Per-epoch accounting for the bulk-synchronous transfer model: the
-  // fence charges max over nodes of NIC-in / NIC-out / memory traffic.
-  std::mutex acct_mu;
-  std::vector<std::uint64_t> node_inter_sent;
-  std::vector<std::uint64_t> node_inter_recv;
-  std::vector<std::uint64_t> node_intra;
-  // Modeled bytes put toward each rank in the open epoch; the fence swaps
-  // this into rank_recv_epoch so every rank can read what was delivered to
-  // it (Comm::epoch_bytes_recv) without racing next-epoch puts.
-  std::vector<std::uint64_t> rank_recv;
-  std::vector<std::uint64_t> rank_recv_epoch;
-  double last_put_issue = 0.0;
+  // Closes the epoch; run by the fence's completing agent while every
+  // rank is blocked in the rendezvous.  Folds the tallies into per-node
+  // NIC-out / NIC-in / memory bytes, publishes each rank's delivered bytes
+  // in `delivered`, resets the tallies, and returns the release time: the
+  // epoch starts at the later of `max_clock` and the last put issue and
+  // lasts as long as its busiest resource.  Integer sums and a max, so the
+  // result does not depend on the order of the puts.
+  double close_epoch(const sim::ClusterConfig& cl, double max_clock);
+
+  std::vector<Region> regions;       // indexed by world rank
+  std::vector<SourceTally> sources;  // indexed by world rank
+  // Modelled bytes delivered into each rank's region by the last completed
+  // epoch (Comm::epoch_bytes_recv); next-epoch puts never touch it.
+  std::vector<std::uint64_t> delivered;
   // Per-rank release flags (world numbering): the window is reclaimed once
   // every rank has either freed it or died.  A shared counter cannot tell
   // "dead rank freed during unwind, then survivors freed" from a double
@@ -325,9 +339,10 @@ class RunState {
 
   // Windows.  Creation is collective: every rank registers the same id
   // (ids come from a per-rank counter that advances identically on all
-  // ranks because win_create is collective) along with its region size.
-  void window_register(int rank, int id, std::size_t bytes);
-  detail::WindowState& window(int id);
+  // ranks because win_create is collective) along with its region size,
+  // and gets the shared state back.  It stays valid until this rank frees
+  // the window: reclaiming waits for every live rank's window_free.
+  detail::WindowState* window_register(int rank, int id, std::size_t bytes);
   void window_free(int rank, int id);
 
   [[nodiscard]] double barrier_cost() const noexcept;
@@ -382,6 +397,7 @@ class RunState {
   double shrink_max_ = 0.0;
   ShrinkResult shrink_result_;
 
+  // Guards the window table and the release flags; puts never take it.
   std::mutex win_mu_;
   std::vector<std::unique_ptr<detail::WindowState>> windows_;
 };

@@ -3,7 +3,10 @@
 // group-parity collective dump + decode-based restore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "apps/rng.hpp"
@@ -12,6 +15,7 @@
 #include "ec/gf256.hpp"
 #include "core/group_parity.hpp"
 #include "ec/reed_solomon.hpp"
+#include "hash/hasher.hpp"
 
 namespace {
 
@@ -367,6 +371,173 @@ TEST(EcDump, LossBeyondParityIsDetected) {
   run.stores[1].fail();  // two failures in group 0, parity = 1
   EXPECT_THROW((void)core::ec_restore_rank(ptrs, 0, cfg),
                std::runtime_error);
+}
+
+// -- parity oracle -------------------------------------------------------------
+
+// 14 ranks of lengths that are not multiples of the chunk size: two chunks
+// every rank shares (so collective dedup drops them from the coded
+// streams), then private chunks.  Rank 5 is empty and rank 9 holds only
+// the shared chunks, so both contribute empty streams.
+std::vector<std::uint8_t> oracle_data(int rank, std::size_t chunk_bytes) {
+  if (rank == 5) return {};
+  std::vector<std::uint8_t> shared(2 * chunk_bytes);
+  apps::SplitMix64(4242).fill(shared);
+  if (rank == 9) return shared;
+  std::vector<std::uint8_t> own(
+      chunk_bytes * static_cast<std::size_t>(1 + rank % 4) + 37 +
+      static_cast<std::size_t>(rank) * 11);
+  apps::SplitMix64(1000 + static_cast<std::uint64_t>(rank)).fill(own);
+  shared.insert(shared.end(), own.begin(), own.end());
+  return shared;
+}
+
+// The stored blob format: a 32-byte header (u64 epoch, i32 group, i32
+// parity index, i32 member count, 4 zero bytes, u64 shard length), then the
+// parity row.
+std::vector<std::uint8_t> expected_parity_blob(
+    std::uint64_t epoch, int group, int j, int members,
+    const std::vector<std::uint8_t>& row) {
+  std::vector<std::uint8_t> blob(32, 0);
+  const std::int32_t fields[] = {group, j, members};
+  const std::uint64_t len = row.size();
+  std::memcpy(blob.data(), &epoch, 8);
+  std::memcpy(blob.data() + 8, fields, sizeof fields);
+  std::memcpy(blob.data() + 24, &len, 8);
+  blob.insert(blob.end(), row.begin(), row.end());
+  return blob;
+}
+
+class EcParityOracle : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(EcParityOracle, StoredParityIsReedSolomonOfPaddedShards) {
+  constexpr int kRanks = 14;
+  EcConfig cfg;
+  cfg.group_size = GetParam().first;
+  cfg.parity = GetParam().second;
+  cfg.chunk_bytes = 256;
+  cfg.epoch = 3;
+  auto run = run_ec_dump(
+      kRanks, cfg, [&](int r) { return oracle_data(r, cfg.chunk_bytes); });
+  const auto& hasher = hash::hasher_for(cfg.hash_kind);
+
+  int coded_groups = 0;
+  for (int g = 0; g < core::ec_group_count(kRanks, cfg); ++g) {
+    const auto members = core::ec_group_members(g, kRanks, cfg);
+    const auto holders = core::ec_parity_holders(g, kRanks, cfg);
+    const int m = static_cast<int>(members.size());
+    // Every member's stream, by its stored stream manifest.
+    std::vector<std::vector<chunk::ManifestEntry>> streams;
+    std::size_t stripes = 0;
+    for (const int member : members) {
+      const auto* blob = run.stores[static_cast<std::size_t>(member)].get_blob(
+          core::ec_stream_key(member, cfg.epoch));
+      ASSERT_NE(blob, nullptr);
+      streams.push_back(
+          simmpi::from_bytes<std::vector<chunk::ManifestEntry>>(*blob));
+      stripes = std::max(stripes, streams.back().size());
+    }
+    if (stripes == 0) {
+      for (int j = 0; j < cfg.parity; ++j) {
+        EXPECT_EQ(run.stores[static_cast<std::size_t>(holders[j])].get_blob(
+                      core::ec_parity_key(g, j, cfg.epoch)),
+                  nullptr);
+      }
+      continue;
+    }
+    ++coded_groups;
+    // Zero-padded data shards, rebuilt from the source datasets.
+    std::vector<std::vector<std::uint8_t>> shards;
+    for (int i = 0; i < m; ++i) {
+      const auto& source = run.datasets[static_cast<std::size_t>(members[i])];
+      std::unordered_map<hash::Fingerprint, std::span<const std::uint8_t>,
+                         hash::FingerprintHash>
+          by_fp;
+      for (std::size_t off = 0; off < source.size(); off += cfg.chunk_bytes) {
+        const auto chunk = std::span(source).subspan(
+            off, std::min(cfg.chunk_bytes, source.size() - off));
+        by_fp.emplace(hasher.fingerprint(chunk), chunk);
+      }
+      auto& shard = shards.emplace_back(stripes * cfg.chunk_bytes, 0);
+      const auto& stream = streams[static_cast<std::size_t>(i)];
+      for (std::size_t s = 0; s < stream.size(); ++s) {
+        const auto it = by_fp.find(stream[s].fp);
+        ASSERT_NE(it, by_fp.end());
+        ASSERT_EQ(it->second.size(), stream[s].length);
+        std::copy(it->second.begin(), it->second.end(),
+                  shard.begin() +
+                      static_cast<std::ptrdiff_t>(s * cfg.chunk_bytes));
+      }
+    }
+    const ReedSolomon rs(m, cfg.parity);
+    const std::vector<std::span<const std::uint8_t>> views(shards.begin(),
+                                                            shards.end());
+    std::vector<std::vector<std::uint8_t>> parity(
+        static_cast<std::size_t>(cfg.parity));
+    rs.encode(views, parity);
+    for (int j = 0; j < cfg.parity; ++j) {
+      const auto* blob =
+          run.stores[static_cast<std::size_t>(holders[j])].get_blob(
+              core::ec_parity_key(g, j, cfg.epoch));
+      ASSERT_NE(blob, nullptr);
+      EXPECT_EQ(*blob, expected_parity_blob(cfg.epoch, g, j, m,
+                                            parity[static_cast<std::size_t>(j)]))
+          << "group " << g << " parity row " << j;
+    }
+  }
+  EXPECT_GT(coded_groups, 0);
+
+  std::vector<chunk::ChunkStore*> ptrs;
+  for (auto& store : run.stores) ptrs.push_back(&store);
+  for (int r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(core::ec_restore_rank(ptrs, r, cfg).segments.at(0),
+              run.datasets[static_cast<std::size_t>(r)]);
+  }
+}
+
+// (group_size, parity); on 14 ranks the last group of the second and third
+// geometries is short.
+INSTANTIATE_TEST_SUITE_P(Geometries, EcParityOracle,
+                         ::testing::Values(std::pair{2, 3}, std::pair{3, 1},
+                                           std::pair{4, 2}));
+
+TEST(EcChain, ImageIsSerializedRowsAndMalformedImagesThrow) {
+  auto image = core::ec_chain_image(3, 40);
+  EXPECT_EQ(image, simmpi::to_bytes(std::vector<std::vector<std::uint8_t>>(
+                       3, std::vector<std::uint8_t>(40, 0))));
+  const auto rows = core::ec_chain_rows(image, 3, 40);
+  ASSERT_EQ(rows.size(), 3u);
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    std::fill(rows[j].begin(), rows[j].end(), static_cast<std::uint8_t>(j + 1));
+  }
+  const auto decoded =
+      simmpi::from_bytes<std::vector<std::vector<std::uint8_t>>>(image);
+  ASSERT_EQ(decoded.size(), 3u);
+  for (std::size_t j = 0; j < decoded.size(); ++j) {
+    EXPECT_EQ(decoded[j],
+              std::vector<std::uint8_t>(40, static_cast<std::uint8_t>(j + 1)));
+  }
+
+  // Geometry other than the stream-count allgather's.
+  EXPECT_THROW((void)core::ec_chain_rows(image, 2, 40), std::runtime_error);
+  EXPECT_THROW((void)core::ec_chain_rows(image, 3, 39), std::runtime_error);
+  // A corrupt count word, a corrupt second length word, a truncated and an
+  // overlong image, and an empty one.
+  auto bad_count = image;
+  bad_count[0] ^= 1;
+  EXPECT_THROW((void)core::ec_chain_rows(bad_count, 3, 40), std::runtime_error);
+  auto bad_length = image;
+  bad_length[8 + 8 + 40] ^= 1;
+  EXPECT_THROW((void)core::ec_chain_rows(bad_length, 3, 40),
+               std::runtime_error);
+  auto truncated = image;
+  truncated.pop_back();
+  EXPECT_THROW((void)core::ec_chain_rows(truncated, 3, 40), std::runtime_error);
+  auto overlong = image;
+  overlong.push_back(0);
+  EXPECT_THROW((void)core::ec_chain_rows(overlong, 3, 40), std::runtime_error);
+  std::vector<std::uint8_t> empty;
+  EXPECT_THROW((void)core::ec_chain_rows(empty, 3, 40), std::runtime_error);
 }
 
 }  // namespace

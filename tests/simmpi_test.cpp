@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -100,6 +101,71 @@ TEST(PointToPoint, TypedRoundTrip) {
       EXPECT_EQ(comm.recv_value<std::vector<double>>(0, 7), payload);
     }
   });
+}
+
+// All-to-all traffic of varying sizes on 6 ranks (3 nodes), sent either
+// through the rvalue send_bytes, which moves each buffer into its message,
+// or through the span overload, which copies it.
+struct SendOutcome {
+  std::vector<std::vector<std::uint8_t>> received;  // by rank, in recv order
+  std::vector<double> clocks;                      // by rank, at the end
+  std::vector<obs::CommStats> stats;               // by rank
+};
+
+SendOutcome all_to_all(bool move) {
+  constexpr int kRanks = 6;
+  obs::Telemetry tel;
+  simmpi::RuntimeOptions opts;
+  opts.telemetry = &tel;
+  opts.cluster.ranks_per_node = 2;
+  SendOutcome out;
+  out.received.resize(kRanks);
+  out.clocks.resize(kRanks);
+  simmpi::Runtime rt(kRanks, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const int me = comm.rank();
+    for (int hop = 1; hop < kRanks; ++hop) {
+      std::vector<std::uint8_t> payload(
+          static_cast<std::size_t>(1000 * hop + 37 * me),
+          static_cast<std::uint8_t>(16 * me + hop));
+      if (move) {
+        comm.send_bytes((me + hop) % kRanks, hop, std::move(payload));
+      } else {
+        comm.send_bytes((me + hop) % kRanks, hop, payload);
+      }
+    }
+    auto& got = out.received[static_cast<std::size_t>(me)];
+    for (int hop = 1; hop < kRanks; ++hop) {
+      const auto bytes = comm.recv_bytes((me - hop + kRanks) % kRanks, hop);
+      got.insert(got.end(), bytes.begin(), bytes.end());
+    }
+    out.clocks[static_cast<std::size_t>(me)] = comm.clock().now();
+  });
+  for (int r = 0; r < kRanks; ++r) out.stats.push_back(tel.rank(r).comm);
+  return out;
+}
+
+TEST(PointToPoint, MoveSendMatchesSpanSend) {
+  const auto copied = all_to_all(false);
+  const auto moved = all_to_all(true);
+  EXPECT_EQ(moved.received, copied.received);
+  EXPECT_EQ(moved.clocks, copied.clocks);  // bit-exact
+  for (std::size_t r = 0; r < copied.stats.size(); ++r) {
+    const auto& a = moved.stats[r];
+    const auto& b = copied.stats[r];
+    EXPECT_EQ(a.sent_messages, b.sent_messages);
+    EXPECT_EQ(a.sent_bytes, b.sent_bytes);
+    EXPECT_EQ(a.recv_messages, b.recv_messages);
+    EXPECT_EQ(a.recv_bytes, b.recv_bytes);
+    EXPECT_EQ(a.intra_node_sent_bytes, b.intra_node_sent_bytes);
+    EXPECT_EQ(a.inter_node_sent_bytes, b.inter_node_sent_bytes);
+    ASSERT_EQ(a.sent_by_tag.size(), b.sent_by_tag.size());
+    for (const auto& [tag, traffic] : b.sent_by_tag) {
+      EXPECT_EQ(a.sent_by_tag.at(tag).messages, traffic.messages);
+      EXPECT_EQ(a.sent_by_tag.at(tag).bytes, traffic.bytes);
+    }
+  }
+  EXPECT_EQ(copied.stats[0].sent_messages, 5u);
 }
 
 TEST(PointToPoint, InvalidRankRejected) {
