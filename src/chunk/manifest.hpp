@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "chunk/dataset.hpp"
 #include "hash/fingerprint.hpp"
 #include "simmpi/archive.hpp"
 
@@ -30,6 +32,26 @@ struct Manifest {
     return sum;
   }
 };
+
+// The one manifest builder (replication dump, EC dump, PFS flush):
+// `buffer`'s segment sizes, then one entry per chunk of `chunker` (cut from
+// `buffer`) with its fingerprint from `fps`, both in buffer order.
+[[nodiscard]] inline Manifest make_manifest(
+    std::int32_t owner_rank, std::uint64_t epoch, const Dataset& buffer,
+    const Chunker& chunker, std::span<const hash::Fingerprint> fps) {
+  Manifest m;
+  m.owner_rank = owner_rank;
+  m.epoch = epoch;
+  m.segment_sizes.reserve(buffer.segment_count());
+  for (std::size_t i = 0; i < buffer.segment_count(); ++i) {
+    m.segment_sizes.push_back(buffer.segment(i).size());
+  }
+  m.entries.reserve(chunker.count());
+  for (std::size_t i = 0; i < chunker.count(); ++i) {
+    m.entries.push_back(ManifestEntry{fps[i], chunker.ref(i).length});
+  }
+  return m;
+}
 
 inline void save(simmpi::OArchive& ar, const Manifest& m) {
   ar.put(m.owner_rank);

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include <unordered_set>
 
-#include "core/local_dedup.hpp"
 #include "core/planner.hpp"
 #include "core/repair.hpp"
 
@@ -15,8 +13,6 @@ namespace collrep::core {
 
 namespace {
 
-constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
 constexpr int kManifestTagBase = 6 << 20;
 
 struct PhaseClock {
@@ -154,29 +150,10 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   // ---- Phase 2: collective reduction of fingerprint frequencies ------------
   BoundedFpSet gview;
   if (config_.strategy == Strategy::kCollDedup) {
-    BoundedFpSet mine(config_.threshold_f, keff, n);
-    for (const auto u : local.unique_chunks) {
-      mine.add_local(local.chunk_fps[u], rank);
-    }
-    mine.enforce_f();
+    // The leaf build: one entry per locally unique chunk.
     comm_.charge(static_cast<double>(local.unique_chunks.size()) *
                  cluster.merge_entry_cost_s);
-    // K-way reduce: a tree node merges all children it received in one
-    // multi-way HMERGE pass (entries_scanned still totals the incoming
-    // entries, so the charged merge time matches the old pairwise sum).
-    gview = simmpi::reduce_kway(
-        comm_, std::move(mine),
-        [this, &cluster](BoundedFpSet a, std::vector<BoundedFpSet> children) {
-          const MergeStats ms = a.merge_many(std::move(children));
-          comm_.charge(static_cast<double>(ms.entries_scanned) *
-                       cluster.merge_entry_cost_s);
-          return a;
-        },
-        0);
-    // Singletons are semantically dead weight in the view (see
-    // BoundedFpSet::prune_singletons); drop them before the broadcast.
-    if (rank == 0) (void)gview.prune_singletons();
-    simmpi::bcast(comm_, gview, 0);
+    gview = global_view(comm_, local, config_.threshold_f, keff);
     stats.gview_entries = static_cast<std::uint32_t>(gview.size());
   }
   stats.phases.reduction_s = phase.lap("planning");
@@ -270,12 +247,9 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
     const auto& fp = local.chunk_fps[chunk_index];
     const auto len = static_cast<std::uint32_t>(payload.size());
 
-    std::memcpy(record.data(), fp.bytes().data(), hash::Fingerprint::kBytes);
-    std::memcpy(record.data() + hash::Fingerprint::kBytes, &len, sizeof len);
-    if (config_.payload_exchange) {
-      std::memcpy(record.data() + kRecordHeaderBytes, payload.data(),
-                  payload.size());
-    }
+    encode_record(record.data(), fp, len,
+                  config_.payload_exchange ? payload
+                                           : std::span<const std::uint8_t>{});
 
     for (const std::uint8_t p : a.send_slots) {
       const int target = partner_at(shuffle, my_pos, p);
@@ -308,28 +282,24 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   const bool commit_received = !store_.failed();
   const auto region = win.local();
   for (std::uint64_t s = 0; s < my_window_slots; ++s) {
-    const std::uint8_t* rec = region.data() + s * slot_bytes;
-    hash::Fingerprint fp{
-        std::span<const std::uint8_t>{rec, hash::Fingerprint::kBytes}};
-    std::uint32_t len = 0;
-    std::memcpy(&len, rec + hash::Fingerprint::kBytes, sizeof len);
+    const Record rec = decode_record(region.data() + s * slot_bytes);
     ++stats.recv_chunks;
-    stats.recv_bytes += len;
+    stats.recv_bytes += rec.length;
     if (!commit_received) {
       ++stats.commit_skipped_chunks;
-      stats.commit_skipped_bytes += len;
+      stats.commit_skipped_bytes += rec.length;
       continue;
     }
     if (config_.payload_exchange) {
-      store_.put(fp,
-                 std::span<const std::uint8_t>{rec + kRecordHeaderBytes, len});
+      store_.put(rec.fp,
+                 std::span<const std::uint8_t>{rec.payload, rec.length});
     } else {
-      store_.put_accounted(fp, len);
+      store_.put_accounted(rec.fp, rec.length);
     }
     // The device writes the incoming replica stream as-is; content
     // addressing in ChunkStore is an index property, not a write saving.
     ++stats.stored_chunks;
-    stats.stored_bytes += len;
+    stats.stored_bytes += rec.length;
   }
   comm_.charge(static_cast<double>(stats.recv_bytes) /
                comm_.cluster().mem_bandwidth_bps);
@@ -340,18 +310,8 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
   win.free();
 
   // Manifest replication (small, point-to-point; same partner ring).
-  chunk::Manifest manifest;
-  manifest.owner_rank = rank;
-  manifest.epoch = config_.epoch;
-  manifest.segment_sizes.reserve(buffer.segment_count());
-  for (std::size_t i = 0; i < buffer.segment_count(); ++i) {
-    manifest.segment_sizes.push_back(buffer.segment(i).size());
-  }
-  manifest.entries.reserve(chunker.count());
-  for (std::size_t i = 0; i < chunker.count(); ++i) {
-    manifest.entries.push_back(
-        chunk::ManifestEntry{local.chunk_fps[i], chunker.ref(i).length});
-  }
+  const chunk::Manifest manifest = chunk::make_manifest(
+      rank, config_.epoch, buffer, chunker, local.chunk_fps);
   stats.manifest_bytes = chunk::manifest_wire_bytes(manifest);
   if (!store_.failed()) store_.put_manifest(manifest);
   if (config_.replicate_manifest && keff > 1) {
@@ -406,29 +366,17 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
 
   // The HDD is shared by all ranks of a node: the phase lasts as long as
   // the node with the most bytes to write.
-  const std::uint64_t my_store_total = stats.stored_bytes +
-                                       stats.manifest_bytes;
-  const auto all_store = simmpi::allgather(comm_, my_store_total);
-  std::vector<std::uint64_t> node_bytes(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    node_bytes[static_cast<std::size_t>(cluster.node_of(r))] +=
-        all_store[static_cast<std::size_t>(r)];
-  }
-  comm_.charge(static_cast<double>(
-                   node_bytes[static_cast<std::size_t>(comm_.node())]) /
+  comm_.charge(static_cast<double>(node_device_bytes(
+                   comm_, stats.stored_bytes + stats.manifest_bytes)) /
                cluster.hdd_write_bps);
 
   // Degraded-mode audit: one cheap liveness allgather per dump; the
   // heavier health allreduce runs only when a store actually died, so the
   // healthy path keeps its put/window counters bit-identical.
   stats.store_alive = !store_.failed();
-  const auto alive_flags = simmpi::allgather(
-      comm_, static_cast<std::uint8_t>(stats.store_alive ? 1 : 0));
-  int alive_count = 0;
-  for (const auto f : alive_flags) alive_count += f;
+  const std::vector<int> alive = alive_store_ranks(comm_, store_);
   stats.k_achieved_min = keff;
-  if (alive_count < n) {
+  if (static_cast<int>(alive.size()) < n) {
     stats.degraded = true;
     // Replica health over everything the surviving stores hold: naturally
     // distributed duplicates and replicas from earlier epochs count toward
@@ -484,6 +432,44 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
     }
   }
   return stats;
+}
+
+BoundedFpSet global_view(simmpi::Comm& comm, const LocalDedupResult& local,
+                         std::uint32_t threshold_f, int k) {
+  const auto& cluster = comm.cluster();
+  BoundedFpSet mine(threshold_f, k, comm.size());
+  for (const auto u : local.unique_chunks) {
+    mine.add_local(local.chunk_fps[u], comm.rank());
+  }
+  mine.enforce_f();
+  // K-way reduce: a tree node merges all children it received in one
+  // multi-way HMERGE pass (entries_scanned still totals the incoming
+  // entries, so the charged merge time matches the old pairwise sum).
+  BoundedFpSet gview = simmpi::reduce_kway(
+      comm, std::move(mine),
+      [&comm, &cluster](BoundedFpSet a, std::vector<BoundedFpSet> children) {
+        const MergeStats ms = a.merge_many(std::move(children));
+        comm.charge(static_cast<double>(ms.entries_scanned) *
+                    cluster.merge_entry_cost_s);
+        return a;
+      },
+      0);
+  // Singletons are semantically dead weight in the view (see
+  // BoundedFpSet::prune_singletons); drop them before the broadcast.
+  if (comm.rank() == 0) (void)gview.prune_singletons();
+  simmpi::bcast(comm, gview, 0);
+  return gview;
+}
+
+std::uint64_t node_device_bytes(simmpi::Comm& comm, std::uint64_t bytes) {
+  const auto all = simmpi::allgather(comm, bytes);
+  std::uint64_t sum = 0;
+  for (int r = 0; r < comm.size(); ++r) {
+    if (comm.cluster().node_of(comm.world_of(r)) == comm.node()) {
+      sum += all[static_cast<std::size_t>(r)];
+    }
+  }
+  return sum;
 }
 
 GlobalDumpStats Dumper::collect(simmpi::Comm& comm, const DumpStats& mine) {

@@ -152,4 +152,20 @@ class Dumper {
   DumpConfig config_;
 };
 
+// The global view of §III-B, the one reduction both dumps run
+// (collective): a BoundedFpSet leaf of this rank's locally unique
+// fingerprints (F = `threshold_f`, at most `k` designated ranks each),
+// HMERGEd up a k-way reduction tree with each merge charged, pruned of
+// singletons at the root and broadcast.  The caller charges the leaf
+// build or not: Dumper does, EcDumper does not.
+[[nodiscard]] BoundedFpSet global_view(simmpi::Comm& comm,
+                                       const LocalDedupResult& local,
+                                       std::uint32_t threshold_f, int k);
+
+// Collective (one allgather): the sum of `bytes` over the ranks on this
+// rank's node, which is what the node's one shared HDD moves.  Ranks map
+// to nodes through their world rank, so the tally holds after a shrink.
+[[nodiscard]] std::uint64_t node_device_bytes(simmpi::Comm& comm,
+                                              std::uint64_t bytes);
+
 }  // namespace collrep::core

@@ -7,8 +7,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/fingerprint_set.hpp"
-#include "core/local_dedup.hpp"
+#include "core/dump.hpp"
 #include "simmpi/collectives.hpp"
 
 namespace collrep::core {
@@ -190,22 +189,8 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
   const int cap = config_.parity + 1;  // natural copies that equal coding
   core::BoundedFpSet gview;
   if (config_.use_collective_dedup && config_.parity > 0) {
-    core::BoundedFpSet mine(config_.threshold_f, cap, n);
-    for (const auto u : local.unique_chunks) {
-      mine.add_local(local.chunk_fps[u], rank);
-    }
-    mine.enforce_f();
-    gview = simmpi::reduce_kway(
-        comm_, std::move(mine),
-        [&](core::BoundedFpSet a, std::vector<core::BoundedFpSet> children) {
-          const auto ms = a.merge_many(std::move(children));
-          comm_.charge(static_cast<double>(ms.entries_scanned) *
-                       cluster.merge_entry_cost_s);
-          return a;
-        },
-        0);
-    if (rank == 0) (void)gview.prune_singletons();
-    simmpi::bcast(comm_, gview, 0);
+    // The leaf build is not charged here (Dumper charges it).
+    gview = global_view(comm_, local, config_.threshold_f, cap);
   }
 
   // ---- stream selection -------------------------------------------------------
@@ -334,17 +319,8 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
   }
 
   // ---- manifests, stream manifests, local commit --------------------------------
-  chunk::Manifest manifest;
-  manifest.owner_rank = rank;
-  manifest.epoch = config_.epoch;
-  for (std::size_t i = 0; i < buffer.segment_count(); ++i) {
-    manifest.segment_sizes.push_back(buffer.segment(i).size());
-  }
-  manifest.entries.reserve(chunker.count());
-  for (std::size_t i = 0; i < chunker.count(); ++i) {
-    manifest.entries.push_back(
-        chunk::ManifestEntry{local.chunk_fps[i], chunker.ref(i).length});
-  }
+  const chunk::Manifest manifest = chunk::make_manifest(
+      rank, config_.epoch, buffer, chunker, local.chunk_fps);
 
   std::vector<chunk::ManifestEntry> stream_manifest;
   stream_manifest.reserve(stream.size());
@@ -393,18 +369,9 @@ EcDumpStats EcDumper::dump_output(const chunk::Dataset& buffer) {
   }
 
   // ---- storage phase (shared HDD per node, like the replication path) ---------
-  const std::uint64_t device_bytes =
-      stats.stored_bytes + stats.parity_bytes +
-      chunk::manifest_wire_bytes(manifest);
-  const auto all_device = simmpi::allgather(comm_, device_bytes);
-  std::vector<std::uint64_t> node_bytes(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    node_bytes[static_cast<std::size_t>(cluster.node_of(r))] +=
-        all_device[static_cast<std::size_t>(r)];
-  }
-  comm_.charge(static_cast<double>(
-                   node_bytes[static_cast<std::size_t>(comm_.node())]) /
+  comm_.charge(static_cast<double>(node_device_bytes(
+                   comm_, stats.stored_bytes + stats.parity_bytes +
+                              chunk::manifest_wire_bytes(manifest))) /
                cluster.hdd_write_bps);
   comm_.barrier();
   stats.total_time_s = comm_.clock().now() - t0;
@@ -436,18 +403,7 @@ core::RestoreResult ec_restore_rank(
     return stores[static_cast<std::size_t>(r)] != nullptr &&
            !stores[static_cast<std::size_t>(r)]->failed();
   };
-
-  // Newest manifest for `rank` across the surviving stores.
-  const chunk::Manifest* manifest = nullptr;
-  for (int r = 0; r < n; ++r) {
-    if (!alive(r)) continue;
-    const auto* m = stores[static_cast<std::size_t>(r)]->manifest_for(rank);
-    if (m != nullptr && (manifest == nullptr || m->epoch > manifest->epoch)) {
-      manifest = m;
-    }
-  }
-  if (manifest == nullptr) throw core::ManifestLostError(rank);
-  const std::uint64_t epoch = manifest->epoch;
+  const core::StoreScan scan = core::newest_manifest(stores, rank);
 
   // Decoded-stream payloads, filled lazily on the first miss.
   std::unordered_map<hash::Fingerprint, std::vector<std::uint8_t>,
@@ -455,9 +411,10 @@ core::RestoreResult ec_restore_rank(
       decoded;
   bool decode_attempted = false;
 
+  // The lookup below runs only once the assembler has found the manifest.
   const auto stream_manifest_for =
       [&](int member) -> std::optional<std::vector<chunk::ManifestEntry>> {
-    const auto key = ec_stream_key(member, epoch);
+    const auto key = ec_stream_key(member, scan.manifest->epoch);
     for (int r = 0; r < n; ++r) {
       if (!alive(r)) continue;
       if (const auto* blob = stores[static_cast<std::size_t>(r)]->get_blob(key)) {
@@ -481,7 +438,7 @@ core::RestoreResult ec_restore_rank(
     std::uint64_t stripes = 0;
     for (int i = 0; i < m_eff; ++i) {
       const auto sm = stream_manifest_for(members[static_cast<std::size_t>(i)]);
-      if (!sm.has_value()) throw core::ChunkLostError{};
+      if (!sm.has_value()) return;  // undecodable: the miss stays lost
       streams[static_cast<std::size_t>(i)] = *sm;
       stripes = std::max(stripes, static_cast<std::uint64_t>(sm->size()));
     }
@@ -515,7 +472,7 @@ core::RestoreResult ec_restore_rank(
       const int holder = holders[static_cast<std::size_t>(j)];
       if (!alive(holder)) continue;
       const auto* blob = stores[static_cast<std::size_t>(holder)]->get_blob(
-          ec_parity_key(group, j, epoch));
+          ec_parity_key(group, j, scan.manifest->epoch));
       if (blob == nullptr) continue;
       const auto [header, shard] = unpack_parity(*blob);
       if (header.shard_len != shard_len) continue;  // stale epoch geometry
@@ -536,62 +493,16 @@ core::RestoreResult ec_restore_rank(
     }
   };
 
-  core::RestoreResult out;
-  out.segments.reserve(manifest->segment_sizes.size());
-  for (const auto size : manifest->segment_sizes) {
-    out.segments.emplace_back();
-    out.segments.back().reserve(size);
-  }
-  std::size_t seg = 0;
-  for (const chunk::ManifestEntry& entry : manifest->entries) {
-    while (seg < out.segments.size() &&
-           out.segments[seg].size() == manifest->segment_sizes[seg]) {
-      ++seg;
-    }
-    if (seg == out.segments.size()) {
-      throw std::runtime_error("ec_restore: manifest exceeds segments");
-    }
-    std::span<const std::uint8_t> payload;
-    bool found = false;
-    if (alive(rank)) {
-      if (const auto p = stores[static_cast<std::size_t>(rank)]->get(entry.fp)) {
-        payload = *p;
-        found = true;
-        ++out.chunks_from_own_store;
-      }
-    }
-    if (!found) {
-      for (int r = 0; r < n && !found; ++r) {
-        if (r == rank || !alive(r)) continue;
-        if (const auto p = stores[static_cast<std::size_t>(r)]->get(entry.fp)) {
-          payload = *p;
-          found = true;
-          ++out.chunks_from_remote_stores;
-        }
-      }
-    }
-    if (!found) {
-      try_decode();
-      const auto it = decoded.find(entry.fp);
-      if (it != decoded.end()) {
-        payload = it->second;
-        found = true;
-        ++out.chunks_from_remote_stores;
-      }
-    }
-    if (!found) throw core::ChunkLostError{};
-    if (payload.size() != entry.length) {
-      throw std::runtime_error("ec_restore: chunk length mismatch");
-    }
-    out.segments[seg].insert(out.segments[seg].end(), payload.begin(),
-                             payload.end());
-  }
-  for (std::size_t s = 0; s < out.segments.size(); ++s) {
-    if (out.segments[s].size() != manifest->segment_sizes[s]) {
-      throw std::runtime_error("ec_restore: segment size mismatch");
-    }
-  }
-  return out;
+  // Own store, then the other alive stores, then the group's RS decode.
+  return core::assemble_restore(
+      stores, scan, rank,
+      [&](const hash::Fingerprint& fp)
+          -> std::optional<std::span<const std::uint8_t>> {
+        try_decode();
+        const auto it = decoded.find(fp);
+        if (it == decoded.end()) return std::nullopt;
+        return it->second;
+      });
 }
 
 }  // namespace collrep::core

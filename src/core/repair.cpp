@@ -1,31 +1,12 @@
 #include "core/repair.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <stdexcept>
 
 #include "simmpi/collectives.hpp"
 
 namespace collrep::core {
-
-namespace {
-
-constexpr std::size_t kRecordHeaderBytes =
-    hash::Fingerprint::kBytes + sizeof(std::uint32_t);
-
-// One replica copy the scrub decided to ship; the plan is computed
-// identically on every rank from the merged health set, so offsets need no
-// extra communication (the repair analogue of CALC_OFF).
-struct RepairSend {
-  hash::Fingerprint fp;
-  std::uint32_t length = 0;
-  int sender = 0;
-  int receiver = 0;
-  std::uint64_t offset = 0;  // byte offset in the receiver's window
-};
-
-}  // namespace
 
 ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                                   const chunk::ChunkStore& store, int k) {
@@ -47,6 +28,105 @@ ReplicaHealthSet allreduce_health(simmpi::Comm& comm,
                     cluster.merge_entry_cost_s);
         return a;
       });
+}
+
+std::vector<int> alive_store_ranks(simmpi::Comm& comm,
+                                   const chunk::ChunkStore& store) {
+  const auto alive_flags = simmpi::allgather(
+      comm, static_cast<std::uint8_t>(store.failed() ? 0 : 1));
+  std::vector<int> alive;
+  for (int r = 0; r < comm.size(); ++r) {
+    if (alive_flags[static_cast<std::size_t>(r)] != 0) alive.push_back(r);
+  }
+  return alive;
+}
+
+TopUpPlan plan_top_up(const ReplicaHealthSet& health,
+                      std::span<const int> alive_ranks, int nranks, int keff,
+                      bool payload_mode) {
+  TopUpPlan plan;
+  plan.payload_mode = payload_mode;
+  plan.window_bytes.assign(static_cast<std::size_t>(nranks), 0);
+  std::size_t cursor = 0;
+  for (const HealthEntry& e : health.entries()) {
+    if (static_cast<int>(e.count) >= keff) {
+      ++plan.satisfied_chunks;
+      plan.satisfied_bytes += e.length;
+      continue;
+    }
+    ++plan.deficit_chunks;
+    plan.deficit_bytes += e.length;
+    const int need = keff - static_cast<int>(e.count);
+    const std::uint64_t record_bytes =
+        kRecordHeaderBytes + (payload_mode ? e.length : 0);
+    const auto holders = health.holders(e);
+    int picked = 0;
+    std::size_t seen = 0;
+    std::size_t si = 0;
+    while (picked < need && seen < alive_ranks.size()) {
+      const int r = alive_ranks[cursor % alive_ranks.size()];
+      ++cursor;
+      ++seen;
+      if (std::binary_search(holders.begin(), holders.end(), r)) continue;
+      std::uint64_t& window = plan.window_bytes[static_cast<std::size_t>(r)];
+      plan.sends.push_back(
+          TopUpSend{e.fp, e.length, holders[si++ % holders.size()], r, window});
+      window += record_bytes;
+      plan.shipped_bytes += e.length;
+      ++picked;
+    }
+  }
+  return plan;
+}
+
+TopUpTraffic exchange_top_up(simmpi::Comm& comm, chunk::ChunkStore& store,
+                             const TopUpPlan& plan, const char* mid_point) {
+  const int rank = comm.rank();
+  TopUpTraffic traffic;
+  simmpi::Window win = comm.win_create(static_cast<std::size_t>(
+      plan.window_bytes[static_cast<std::size_t>(rank)]));
+  std::vector<std::uint8_t> record;
+  for (const TopUpSend& s : plan.sends) {
+    if (s.sender != rank) continue;
+    std::span<const std::uint8_t> payload;
+    if (plan.payload_mode) {
+      const auto p = store.get(s.fp);
+      if (!p.has_value()) {
+        throw std::logic_error(
+            "top-up: health set names this rank as holder of a chunk its "
+            "store does not have");
+      }
+      payload = *p;
+    }
+    record.assign(kRecordHeaderBytes + (plan.payload_mode ? s.length : 0), 0);
+    encode_record(record.data(), s.fp, s.length, payload);
+    win.put(s.receiver, static_cast<std::size_t>(s.offset), record,
+            kRecordHeaderBytes + s.length);
+    ++traffic.sent_chunks;
+    traffic.sent_bytes += s.length;
+  }
+  comm.fault_point(mid_point);
+  // Final epoch of the top-up window: no RMA follows.
+  win.fence(simmpi::kFenceNoSucceed);
+
+  const auto region = win.local();
+  for (const TopUpSend& s : plan.sends) {
+    if (s.receiver != rank || store.failed()) continue;
+    const Record rec = decode_record(region.data() + s.offset);
+    if (plan.payload_mode) {
+      store.put(rec.fp, std::span<const std::uint8_t>{rec.payload, rec.length});
+    } else {
+      store.put_accounted(rec.fp, rec.length);
+    }
+    ++traffic.recv_chunks;
+    traffic.recv_bytes += rec.length;
+  }
+  win.free();
+  comm.charge(static_cast<double>(traffic.recv_bytes) /
+                  comm.cluster().mem_bandwidth_bps +
+              static_cast<double>(traffic.recv_bytes) /
+                  comm.cluster().hdd_write_bps);
+  return traffic;
 }
 
 RepairStats repair_replicas(simmpi::Comm& comm,
@@ -80,12 +160,7 @@ RepairStats repair_replicas(simmpi::Comm& comm,
   stats.k_requested = k;
 
   // ---- Audit: who is alive, and who holds what ------------------------------
-  const auto alive_flags = simmpi::allgather(
-      comm, static_cast<std::uint8_t>(store.failed() ? 0 : 1));
-  std::vector<int> alive_ranks;
-  for (int r = 0; r < n; ++r) {
-    if (alive_flags[static_cast<std::size_t>(r)] != 0) alive_ranks.push_back(r);
-  }
+  const std::vector<int> alive_ranks = alive_store_ranks(comm, store);
   stats.alive_stores = static_cast<int>(alive_ranks.size());
   const int keff = std::min(k, stats.alive_stores);
   stats.k_effective = keff;
@@ -136,98 +211,22 @@ RepairStats repair_replicas(simmpi::Comm& comm,
   stats.k_achieved_min_before = simmpi::allreduce(
       comm, my_min, [](int a, int b) { return a < b ? a : b; });
 
-  // ---- Plan: ship exactly the shortfall -------------------------------------
-  // Deterministic on every rank: deficits in fingerprint order (the set's
-  // own order), receivers chosen by a rotating cursor over the alive
-  // non-holders (spreads the re-replication load), senders round-robin
-  // over the surviving holders.
-  std::vector<const HealthEntry*> deficits;
-  for (const HealthEntry& e : health.entries()) {
-    if (static_cast<int>(e.count) < keff) deficits.push_back(&e);
-  }
-  comm.charge(static_cast<double>(deficits.size()) *
+  // ---- Plan and exchange: ship exactly the shortfall -----------------------
+  const TopUpPlan plan =
+      plan_top_up(health, alive_ranks, n, keff,
+                  store.mode() == chunk::StoreMode::kPayload);
+  stats.under_replicated_chunks = plan.deficit_chunks;
+  stats.under_replicated_bytes = plan.deficit_bytes;
+  stats.resent_chunks = plan.sends.size();
+  stats.resent_bytes = plan.shipped_bytes;
+  comm.charge(static_cast<double>(plan.deficit_chunks) *
               cluster.merge_entry_cost_s);
-
-  const bool payload_mode = store.mode() == chunk::StoreMode::kPayload;
-  std::vector<RepairSend> plan;
-  std::vector<std::uint64_t> window_bytes(static_cast<std::size_t>(n), 0);
-  std::size_t cursor = 0;
-  for (const HealthEntry* e : deficits) {
-    stats.under_replicated_chunks += 1;
-    stats.under_replicated_bytes += e->length;
-    const int need = keff - static_cast<int>(e->count);
-    const std::size_t slot_bytes =
-        kRecordHeaderBytes + (payload_mode ? e->length : 0);
-    const auto holders = health.holders(*e);
-    int picked = 0;
-    std::size_t seen = 0;
-    std::size_t si = 0;
-    while (picked < need && seen < alive_ranks.size()) {
-      const int r = alive_ranks[cursor % alive_ranks.size()];
-      ++cursor;
-      ++seen;
-      if (std::binary_search(holders.begin(), holders.end(), r)) continue;
-      RepairSend s;
-      s.fp = e->fp;
-      s.length = e->length;
-      s.sender = holders[si++ % holders.size()];
-      s.receiver = r;
-      s.offset = window_bytes[static_cast<std::size_t>(r)];
-      window_bytes[static_cast<std::size_t>(r)] += slot_bytes;
-      plan.push_back(s);
-      ++picked;
-    }
-    stats.resent_chunks += static_cast<std::uint64_t>(picked);
-    stats.resent_bytes +=
-        static_cast<std::uint64_t>(picked) * e->length;
-  }
-
-  // ---- Exchange: one window epoch, same record layout as DUMP_OUTPUT -------
-  simmpi::Window win = comm.win_create(
-      static_cast<std::size_t>(window_bytes[static_cast<std::size_t>(rank)]));
-  std::vector<std::uint8_t> record;
-  for (const RepairSend& s : plan) {
-    if (s.sender != rank) continue;
-    record.assign(kRecordHeaderBytes + (payload_mode ? s.length : 0), 0);
-    std::memcpy(record.data(), s.fp.bytes().data(), hash::Fingerprint::kBytes);
-    std::memcpy(record.data() + hash::Fingerprint::kBytes, &s.length,
-                sizeof s.length);
-    if (payload_mode) {
-      const auto payload = store.get(s.fp);
-      if (!payload.has_value()) {
-        throw std::logic_error(
-            "repair_replicas: health set names this rank as holder of a "
-            "chunk its store does not have");
-      }
-      std::memcpy(record.data() + kRecordHeaderBytes, payload->data(),
-                  payload->size());
-    }
-    win.put(s.receiver, static_cast<std::size_t>(s.offset), record,
-            kRecordHeaderBytes + s.length);
-    ++stats.sent_chunks;
-    stats.sent_bytes += s.length;
-  }
-  comm.fault_point("repair.exchange.mid");
-  // Final epoch of the repair window: no RMA follows.
-  win.fence(simmpi::kFenceNoSucceed);
-
-  const auto region = win.local();
-  for (const RepairSend& s : plan) {
-    if (s.receiver != rank || store.failed()) continue;
-    if (payload_mode) {
-      store.put(s.fp, std::span<const std::uint8_t>{
-                          region.data() + s.offset + kRecordHeaderBytes,
-                          s.length});
-    } else {
-      store.put_accounted(s.fp, s.length);
-    }
-    ++stats.recv_chunks;
-    stats.recv_bytes += s.length;
-  }
-  win.free();
-  comm.charge(static_cast<double>(stats.recv_bytes) /
-                  cluster.mem_bandwidth_bps +
-              static_cast<double>(stats.recv_bytes) / cluster.hdd_write_bps);
+  const TopUpTraffic traffic =
+      exchange_top_up(comm, store, plan, "repair.exchange.mid");
+  stats.sent_chunks = traffic.sent_chunks;
+  stats.sent_bytes = traffic.sent_bytes;
+  stats.recv_chunks = traffic.recv_chunks;
+  stats.recv_bytes = traffic.recv_bytes;
 
   // After the top-up every under-replicated fingerprint is back at K_eff;
   // only chunks with zero surviving replicas stay below it.

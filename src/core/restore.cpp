@@ -1,6 +1,6 @@
 #include "core/restore.hpp"
 
-#include "simmpi/collectives.hpp"
+#include "core/dump.hpp"
 
 namespace collrep::core {
 
@@ -38,14 +38,6 @@ std::string chunk_lost_message(const hash::Fingerprint* fp, int owner_rank,
 
 }  // namespace detail
 
-namespace {
-
-struct StoreScan {
-  const chunk::Manifest* manifest = nullptr;
-  int consulted = 0;  // alive stores examined
-  int failed = 0;     // failed/absent stores skipped
-};
-
 StoreScan newest_manifest(std::span<chunk::ChunkStore* const> stores,
                           int rank) {
   StoreScan scan;
@@ -64,14 +56,9 @@ StoreScan newest_manifest(std::span<chunk::ChunkStore* const> stores,
   return scan;
 }
 
-}  // namespace
-
-RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
-                           int rank) {
-  if (rank < 0 || static_cast<std::size_t>(rank) >= stores.size()) {
-    throw std::out_of_range("restore: rank outside store set");
-  }
-  const StoreScan scan = newest_manifest(stores, rank);
+RestoreResult assemble_restore(std::span<chunk::ChunkStore* const> stores,
+                               const StoreScan& scan, int rank,
+                               const ChunkFallback& fallback) {
   const chunk::Manifest* manifest = scan.manifest;
   if (manifest == nullptr) {
     throw ManifestLostError(rank, scan.consulted, scan.failed);
@@ -105,7 +92,9 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     out.segments.back().reserve(size);
   }
 
-  chunk::ChunkStore* own = stores[static_cast<std::size_t>(rank)];
+  const chunk::ChunkStore* own = static_cast<std::size_t>(rank) < stores.size()
+                                     ? stores[static_cast<std::size_t>(rank)]
+                                     : nullptr;
   const bool own_alive = own != nullptr && !own->failed();
 
   std::size_t seg = 0;
@@ -119,37 +108,30 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     if (seg == out.segments.size()) {
       throw std::runtime_error("restore: manifest entries exceed segments");
     }
-
-    std::span<const std::uint8_t> payload;
-    bool found = false;
-    if (own_alive) {
-      if (const auto p = own->get(entry.fp)) {
-        payload = *p;
-        found = true;
-        ++out.chunks_from_own_store;
-        out.bytes_from_own_store += p->size();
-      }
+    std::optional<std::span<const std::uint8_t>> payload;
+    if (own_alive) payload = own->get(entry.fp);
+    const bool from_own = payload.has_value();
+    for (const chunk::ChunkStore* store : stores) {
+      if (payload.has_value()) break;
+      if (store == nullptr || store->failed() || store == own) continue;
+      payload = store->get(entry.fp);
     }
-    if (!found) {
-      for (chunk::ChunkStore* store : stores) {
-        if (store == nullptr || store->failed() || store == own) continue;
-        if (const auto p = store->get(entry.fp)) {
-          payload = *p;
-          found = true;
-          ++out.chunks_from_remote_stores;
-          out.bytes_from_remote_stores += p->size();
-          break;
-        }
-      }
-    }
-    if (!found) {
+    if (!payload.has_value() && fallback) payload = fallback(entry.fp);
+    if (!payload.has_value()) {
       throw ChunkLostError(entry.fp, rank, scan.consulted, scan.failed);
     }
-    if (payload.size() != entry.length) {
+    if (payload->size() != entry.length) {
       throw std::runtime_error("restore: chunk length mismatch (collision?)");
     }
-    out.segments[seg].insert(out.segments[seg].end(), payload.begin(),
-                             payload.end());
+    if (from_own) {
+      ++out.chunks_from_own_store;
+      out.bytes_from_own_store += payload->size();
+    } else {
+      ++out.chunks_from_remote_stores;
+      out.bytes_from_remote_stores += payload->size();
+    }
+    out.segments[seg].insert(out.segments[seg].end(), payload->begin(),
+                             payload->end());
   }
 
   for (std::size_t s = 0; s < out.segments.size(); ++s) {
@@ -158,6 +140,14 @@ RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
     }
   }
   return out;
+}
+
+RestoreResult restore_rank(std::span<chunk::ChunkStore* const> stores,
+                           int rank) {
+  if (rank < 0 || static_cast<std::size_t>(rank) >= stores.size()) {
+    throw std::out_of_range("restore: rank outside store set");
+  }
+  return assemble_restore(stores, newest_manifest(stores, rank), rank);
 }
 
 std::pair<RestoreResult, CollectiveRestoreStats> restore_input(
@@ -176,20 +166,10 @@ std::pair<RestoreResult, CollectiveRestoreStats> restore_input(
   // traverse the network.  HDDs are shared per node; remote reads are
   // attributed to the reader's node (a first-order approximation — the
   // serving partner is not tracked per chunk).
-  const auto all_local = simmpi::allgather(comm, stats.local_bytes);
-  const auto all_remote = simmpi::allgather(comm, stats.remote_bytes);
-  const int n = comm.size();
-  std::vector<std::uint64_t> node_read(
-      static_cast<std::size_t>(cluster.node_count(n)), 0);
-  for (int r = 0; r < n; ++r) {
-    // Dense group rank -> world rank -> node: correct after a shrink.
-    node_read[static_cast<std::size_t>(cluster.node_of(comm.world_of(r)))] +=
-        all_local[static_cast<std::size_t>(r)] +
-        all_remote[static_cast<std::size_t>(r)];
-  }
-  comm.charge(static_cast<double>(
-                  node_read[static_cast<std::size_t>(comm.node())]) /
-              cluster.hdd_read_bps);
+  const std::uint64_t node_read =
+      node_device_bytes(comm, stats.local_bytes) +
+      node_device_bytes(comm, stats.remote_bytes);
+  comm.charge(static_cast<double>(node_read) / cluster.hdd_read_bps);
   comm.charge(static_cast<double>(stats.remote_bytes) /
               cluster.net_bandwidth_bps);
   comm.barrier();

@@ -5,6 +5,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -52,9 +54,6 @@ class ManifestLostError : public std::runtime_error {
 
 class ChunkLostError : public std::runtime_error {
  public:
-  ChunkLostError()
-      : std::runtime_error(detail::chunk_lost_message(nullptr, -1, -1, -1)) {}
-
   ChunkLostError(const hash::Fingerprint& fp, int owner_rank,
                  int stores_consulted = -1, int stores_failed = -1)
       : std::runtime_error(detail::chunk_lost_message(
@@ -89,12 +88,36 @@ struct RestoreResult {
   std::uint64_t bytes_from_remote_stores = 0;
 };
 
-// Rebuilds `rank`'s most recent dump from `stores` (index == rank).  Failed
-// stores are skipped; throws ManifestLostError / ChunkLostError when the
-// failure pattern exceeds what the replication factor can tolerate, and
-// std::runtime_error for an inconsistent manifest (segment sizes that do
-// not add up to its entries, or a chunk whose length differs from its
-// entry) before allocating from its claims.  Stores must be payload mode.
+// `rank`'s newest manifest across `stores` (the first store wins an epoch
+// tie), with the store counts the loss errors report.
+struct StoreScan {
+  const chunk::Manifest* manifest = nullptr;  // nullptr: none survived
+  int consulted = 0;  // alive stores examined
+  int failed = 0;     // failed/absent stores skipped
+};
+[[nodiscard]] StoreScan newest_manifest(
+    std::span<chunk::ChunkStore* const> stores, int rank);
+
+// Where a restore looks for a chunk that no alive store holds (the EC
+// decode, the PFS): its payload, or nullopt when it has none either.
+using ChunkFallback = std::function<std::optional<
+    std::span<const std::uint8_t>>(const hash::Fingerprint&)>;
+
+// The one restore assembler (restore_rank, ec_restore_rank, pfs_restore):
+// rebuilds `rank`'s dataset from `scan.manifest`, each chunk from `rank`'s
+// own store in `stores`, then every other alive store in index order,
+// then `fallback` (if set).  Throws ManifestLostError without a manifest,
+// ChunkLostError when no source has a chunk, and std::runtime_error for an
+// inconsistent manifest: segment sizes that do not add up to its entries
+// (checked before they size any allocation), a chunk length differing
+// from its entry, or segments left unfilled.
+[[nodiscard]] RestoreResult assemble_restore(
+    std::span<chunk::ChunkStore* const> stores, const StoreScan& scan,
+    int rank, const ChunkFallback& fallback = {});
+
+// Rebuilds `rank`'s most recent dump from `stores` (index == rank) with
+// assemble_restore; a loss error means the failures exceeded what the
+// replication factor tolerates.  Payload stores only.
 [[nodiscard]] RestoreResult restore_rank(
     std::span<chunk::ChunkStore* const> stores, int rank);
 

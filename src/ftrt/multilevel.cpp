@@ -22,18 +22,10 @@ PfsDumpStats pfs_dump(simmpi::Comm& comm, PfsStore& pfs,
     pfs.put(local.chunk_fps[chunk_index], payload);
     stats.written_bytes += payload.size();
   }
-  chunk::Manifest manifest;
-  manifest.owner_rank = comm.rank();
-  manifest.epoch = epoch;
-  for (std::size_t i = 0; i < buffer.segment_count(); ++i) {
-    manifest.segment_sizes.push_back(buffer.segment(i).size());
-  }
-  for (std::size_t i = 0; i < chunker.count(); ++i) {
-    manifest.entries.push_back(
-        chunk::ManifestEntry{local.chunk_fps[i], chunker.ref(i).length});
-  }
-  pfs.put_manifest(std::move(manifest));
+  chunk::Manifest manifest = chunk::make_manifest(comm.rank(), epoch, buffer,
+                                                  chunker, local.chunk_fps);
   stats.written_bytes += chunk::manifest_wire_bytes(manifest);
+  pfs.put_manifest(std::move(manifest));
 
   // The decoupled store ingests the *sum* of all ranks' writes at one
   // aggregate bandwidth — the scalability wall the paper's intro cites.
@@ -60,36 +52,9 @@ PfsDumpStats pfs_dump(simmpi::Comm& comm, PfsStore& pfs,
 core::RestoreResult pfs_restore(const PfsStore& pfs, int rank) {
   const auto manifest = pfs.manifest_for(rank);
   // The PFS is one logical store: 1 consulted, 0 failed.
-  if (!manifest.has_value()) throw core::ManifestLostError(rank, 1, 0);
-
-  core::RestoreResult out;
-  out.segments.reserve(manifest->segment_sizes.size());
-  for (const auto size : manifest->segment_sizes) {
-    out.segments.emplace_back();
-    out.segments.back().reserve(size);
-  }
-  std::size_t seg = 0;
-  for (const auto& entry : manifest->entries) {
-    while (seg < out.segments.size() &&
-           out.segments[seg].size() == manifest->segment_sizes[seg]) {
-      ++seg;
-    }
-    if (seg == out.segments.size()) {
-      throw std::runtime_error("pfs_restore: manifest exceeds segments");
-    }
-    const auto payload = pfs.get(entry.fp);
-    if (!payload.has_value()) {
-      throw core::ChunkLostError(entry.fp, rank, 1, 0);
-    }
-    if (payload->size() != entry.length) {
-      throw std::runtime_error("pfs_restore: chunk length mismatch");
-    }
-    out.segments[seg].insert(out.segments[seg].end(), payload->begin(),
-                             payload->end());
-    ++out.chunks_from_remote_stores;
-    out.bytes_from_remote_stores += payload->size();
-  }
-  return out;
+  return core::assemble_restore(
+      {}, core::StoreScan{manifest.has_value() ? &*manifest : nullptr, 1, 0},
+      rank, [&](const hash::Fingerprint& fp) { return pfs.get(fp); });
 }
 
 MultiLevelStats MultiLevelCheckpoint::maybe_checkpoint(int iteration) {

@@ -57,6 +57,34 @@ TEST(PfsDump, RoundTripsThroughSharedStore) {
   }
 }
 
+TEST(PfsDump, WrittenBytesCountTheStoredManifest) {
+  // A rank writes its chunk payload plus the manifest the PFS now holds
+  // for it; the manifest is counted before it moves into the store.
+  constexpr int kRanks = 6;
+  constexpr std::size_t kBytes = 16 * 1024;
+  PfsStore pfs;
+  std::vector<std::uint64_t> written(kRanks);
+  simmpi::Runtime rt(kRanks);
+  rt.run([&](simmpi::Comm& comm) {
+    // Incompressible, so every chunk is locally unique and written.
+    std::vector<std::uint8_t> data(kBytes);
+    apps::SplitMix64 rng(7 + static_cast<std::uint64_t>(comm.rank()));
+    rng.fill(data);
+    chunk::Dataset ds;
+    ds.add_segment(data);
+    written[static_cast<std::size_t>(comm.rank())] =
+        ftrt::pfs_dump(comm, pfs, ds, 512, hash::HashKind::kSha1, 1)
+            .written_bytes;
+  });
+  for (int r = 0; r < kRanks; ++r) {
+    const auto manifest = pfs.manifest_for(r);
+    ASSERT_TRUE(manifest.has_value());
+    EXPECT_EQ(manifest->entries.size(), kBytes / 512);
+    EXPECT_EQ(written[static_cast<std::size_t>(r)],
+              kBytes + chunk::manifest_wire_bytes(*manifest));
+  }
+}
+
 TEST(PfsDump, AggregateBandwidthDoesNotScale) {
   // The motivating effect: doubling the rank count roughly doubles the
   // PFS dump time (one shared ingest pipe), whereas partner replication
