@@ -12,16 +12,11 @@
 #                                      # schedule snapshot after an intended
 #                                      # collective-schedule change
 #   COLLCHECK_SARIF=out.sarif scripts/analyze.sh        # also write SARIF
-#   COLLCHECK_SELF_SARIF=self.sarif scripts/analyze.sh  # SARIF for self-scan
-#   COLLCHECK_COLLPROF_SARIF=p.sarif                    # SARIF for collprof scan
-#   COLLCHECK_BENCH_SARIF=b.sarif                       # SARIF for bench scan
 #
-# Beyond the tree scan, this runs three scoped scans with their own
-# baselines (the analyzer, profiler, and bench harness each stay clean
-# independently of the main baseline) and the schedule-drift gate: the
-# canonical per-entry-point collective schedules (--dump-schedules) must
-# match the checked-in tools/collcheck/schedules.txt byte for byte, so a
-# PR that reorders or drops collectives shows up as a reviewable diff.
+# Beyond the tree scan, this runs the schedule-drift gate: the canonical
+# per-entry-point collective schedules (--dump-schedules) must match the
+# checked-in tools/collcheck/schedules.txt byte for byte, so a PR that
+# reorders or drops collectives shows up as a reviewable diff.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -48,43 +43,19 @@ if [[ -n "${COLLCHECK_SARIF:-}" ]]; then
   args+=(--sarif "$COLLCHECK_SARIF")
 fi
 
+# One scan covers the whole tree, the analyzer, profiler and bench
+# harness included; baseline.txt takes no tools/ entries.
 echo "== analyze: collcheck =="
 "$collcheck_bin" "${args[@]}" "${extra[@]}" \
     src tools bench tests examples
-
-# Self-analysis: the analyzer must hold itself to the rules it enforces
-# (no baseline here — the tool's own tree stays clean, full stop).
-self_args=(--repo-root "$repo")
-if [[ -n "${COLLCHECK_SELF_SARIF:-}" ]]; then
-  self_args+=(--sarif "$COLLCHECK_SELF_SARIF")
-fi
-echo "== analyze: collcheck (self) =="
-"$collcheck_bin" "${self_args[@]}" tools/collcheck
-
-# Scoped scans with their own baselines: the causal profiler and the bench
-# harness are instrumentation/measurement code with different idioms from
-# the product tree, so their intentional exceptions are tracked separately
-# instead of widening the main baseline.
-collprof_args=(--repo-root "$repo"
-               --baseline tools/collcheck/baseline_collprof.txt)
-if [[ -n "${COLLCHECK_COLLPROF_SARIF:-}" ]]; then
-  collprof_args+=(--sarif "$COLLCHECK_COLLPROF_SARIF")
-fi
-echo "== analyze: collcheck (collprof) =="
-"$collcheck_bin" "${collprof_args[@]}" "${extra[@]}" tools/collprof
-
-bench_args=(--repo-root "$repo"
-            --baseline tools/collcheck/baseline_bench.txt)
-if [[ -n "${COLLCHECK_BENCH_SARIF:-}" ]]; then
-  bench_args+=(--sarif "$COLLCHECK_BENCH_SARIF")
-fi
-echo "== analyze: collcheck (bench) =="
-"$collcheck_bin" "${bench_args[@]}" "${extra[@]}" bench
 
 # Schedule-drift gate: regenerate the canonical per-entry-point schedule
 # snapshot from src/ and compare it to the checked-in artifact.  A diff
 # means a PR changed the collective schedule of a public entry point —
 # legitimate changes re-run with --update-schedules and commit the result.
+# src/ only: the snapshot inlines the lexically first definition of each
+# name, so a same-named function under bench/ or examples/ would shadow
+# the src/ one.
 snapshot=tools/collcheck/schedules.txt
 current="$build_dir/schedules.current.txt"
 echo "== analyze: schedule drift =="

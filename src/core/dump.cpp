@@ -189,11 +189,15 @@ DumpStats Dumper::dump_output(const chunk::Dataset& buffer, int k) {
       config_.strategy == Strategy::kCollDedup && config_.rank_shuffle;
   std::vector<int> shuffle =
       shuffled ? rank_shuffle(mat, keff) : identity_shuffle(n);
+  std::vector<int> node_of(static_cast<std::size_t>(n));
+  for (int r = 0; r < n; ++r) {
+    node_of[static_cast<std::size_t>(r)] = cluster.node_of(comm_.world_of(r));
+  }
   if (config_.node_aware_partners && keff > 1) {
-    shuffle = make_node_disjoint(std::move(shuffle), keff, cluster);
+    shuffle = make_node_disjoint(std::move(shuffle), keff, node_of);
   }
   stats.same_node_partners = static_cast<std::uint32_t>(
-      same_node_partner_count(shuffle, keff, cluster));
+      same_node_partner_count(shuffle, keff, node_of));
   std::vector<int> position_of = invert_shuffle(shuffle);
   // Sorting N ranks is the only super-linear planning step.
   comm_.charge(static_cast<double>(n) *

@@ -12,8 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "simtime/cluster.hpp"
-
 namespace collrep::core {
 
 // N x K chunk-count table; row = rank (original id), column = slot.
@@ -99,10 +97,14 @@ class SendMatrix {
 // ---- topology awareness (paper §VI future work: "other partner selection
 // criteria, such as rack-awareness or topology") -----------------------------
 
+// `node_of[r]` is the node hosting rank r.  Ranks are the communicator's
+// dense ranks, which after a shrink differ from the world ranks the
+// cluster places on nodes: callers map each through Comm::world_of.
+
 // Number of (rank, partner-slot) pairs whose partner lives on the same
 // node as the rank — replicas on the same node do not survive a node loss.
 [[nodiscard]] int same_node_partner_count(std::span<const int> shuffle, int k,
-                                          const sim::ClusterConfig& cluster);
+                                          std::span<const int> node_of);
 
 // Greedy repair pass: permutes `shuffle` so that (best effort) none of a
 // rank's K-1 ring successors shares its node, while disturbing the
@@ -110,6 +112,6 @@ class SendMatrix {
 // violation-free arrangement cannot exist; the result minimizes greedily
 // and same_node_partner_count() reports what remains.
 [[nodiscard]] std::vector<int> make_node_disjoint(
-    std::vector<int> shuffle, int k, const sim::ClusterConfig& cluster);
+    std::vector<int> shuffle, int k, std::span<const int> node_of);
 
 }  // namespace collrep::core

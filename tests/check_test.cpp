@@ -117,11 +117,11 @@ TEST(Checker, DetectsMismatchedCollectiveKind) {
         comm.barrier();  // seq 0: matches everywhere
         // collcheck:allow(CC-SCHED-DIV) — divergence is the fixture
         if (comm.rank() == 1) {
-          // seq 1 diverges on purpose — collcheck:allow(CC-COLL-DIV)
+          // seq 1 diverges on purpose
           (void)simmpi::allreduce_sum(comm, comm.rank());
         } else {
           int value = 7;
-          simmpi::bcast(comm, value, 0);  // collcheck:allow(CC-COLL-DIV)
+          simmpi::bcast(comm, value, 0);
         }
       });
   EXPECT_EQ(v.seq, 1u);
@@ -155,10 +155,10 @@ TEST(Checker, DetectsPayloadTypeMismatch) {
       [](simmpi::Comm& comm) {
         if (comm.rank() == 0) {
           int value = 1;
-          simmpi::bcast(comm, value, 0);  // collcheck:allow(CC-COLL-DIV)
+          simmpi::bcast(comm, value, 0);
         } else {
           double value = 1.0;
-          simmpi::bcast(comm, value, 0);  // collcheck:allow(CC-COLL-DIV)
+          simmpi::bcast(comm, value, 0);
         }
       });
   EXPECT_NE(v.detail.find("type="), std::string::npos) << v.detail;
@@ -298,7 +298,7 @@ TEST(Checker, WatchdogConvertsDeadlockIntoStuckReport) {
       rt, checker, check::ViolationKind::kStuckRanks,
       [](simmpi::Comm& comm) {
         // Rank 0 "forgets" the barrier: ranks 1 and 2 would hang forever.
-        if (comm.rank() != 0) comm.barrier();  // collcheck:allow(CC-COLL-DIV,CC-SCHED-DIV)
+        if (comm.rank() != 0) comm.barrier();  // collcheck:allow(CC-SCHED-DIV)
       });
   EXPECT_NE(v.detail.find("rank 0"), std::string::npos) << v.detail;
   EXPECT_NE(v.detail.find("inside barrier"), std::string::npos) << v.detail;

@@ -46,55 +46,62 @@ AnalysisResult scan_fixture(const std::string& family) {
 
 constexpr const char* kFx = "tools/collcheck/fixtures/";
 
-TEST(Collcheck, DivergentCollectiveFamily) {
-  const auto result = scan_fixture("divergent");
-  const std::set<Key> expected = {
-      {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_direct.cpp", 12},
-      {"CC-COLL-DIV", std::string(kFx) + "divergent/bad_direct.cpp", 13},
-      {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_direct.cpp", 20},
-      {"CC-COLL-DIV", std::string(kFx) + "divergent/bad_direct.cpp", 23},
-      {"CC-SCHED-DIV", std::string(kFx) + "divergent/bad_interproc.cpp", 15},
-      {"CC-COLL-DIV-CALL", std::string(kFx) + "divergent/bad_interproc.cpp",
-       16},
+// CC-SCHED-DIV true positives in fixtures/sched/: a collective that some
+// ranks run and others skip.
+std::set<Key> divergent_expected() {
+  const std::string dir = std::string(kFx) + "sched/";
+  return {
+      // bad_div.cpp: mismatched branch schedules + early-return skip.
+      {"CC-SCHED-DIV", dir + "bad_div.cpp", 13},
+      {"CC-SCHED-DIV", dir + "bad_div.cpp", 22},
+      // bad_exit.cpp: rank-guarded window fence; break and continue
+      // skipping a loop body's barrier; a nested return skipping the
+      // function's tail.
+      {"CC-SCHED-DIV", dir + "bad_exit.cpp", 15},
+      {"CC-SCHED-DIV", dir + "bad_exit.cpp", 24},
+      {"CC-SCHED-DIV", dir + "bad_exit.cpp", 32},
+      {"CC-SCHED-DIV", dir + "bad_exit.cpp", 41},
+      // bad_interproc.cpp: the divergent collective behind a helper.
+      {"CC-SCHED-DIV", dir + "bad_interproc.cpp", 15},
   };
-  EXPECT_EQ(keys(result), expected);
-  // clean.cpp (unconditional collectives, rank-guarded p2p, inline allow)
-  // must contribute nothing — verified by the exact-set match above.
+}
+
+TEST(Collcheck, DivergentCollectiveFamily) {
+  // The divergence fixtures scanned apart from the rest of the corpus, so
+  // the helper-borne finding in bad_interproc.cpp cannot lean on a
+  // same-named helper in another fixture, and clean.cpp's root/leaf p2p
+  // and schedule-equal arms stay quiet on their own.
+  AnalyzerOptions options;
+  options.include_fixtures = true;
+  const std::string dir = std::string(kFx) + "sched/";
+  const auto result = collcheck::analyze_paths(
+      {dir + "bad_div.cpp", dir + "bad_exit.cpp", dir + "bad_interproc.cpp",
+       dir + "clean.cpp"},
+      COLLCHECK_REPO_ROOT, options);
+  EXPECT_EQ(keys(result), divergent_expected());
 }
 
 TEST(Collcheck, ScheduleDivergenceFamily) {
   const auto result = scan_fixture("sched");
-  const std::set<Key> expected = {
-      // bad_div.cpp: mismatched branch schedules + early-return skip.
-      {"CC-SCHED-DIV", std::string(kFx) + "sched/bad_div.cpp", 13},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_div.cpp", 14},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_div.cpp", 16},
-      {"CC-SCHED-DIV", std::string(kFx) + "sched/bad_div.cpp", 22},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_div.cpp", 25},
+  std::set<Key> expected = divergent_expected();
+  expected.insert({
       // bad_order.cpp: same multiset, swapped order — direct and via
       // differently-named helper calls.
       {"CC-SCHED-ORDER", std::string(kFx) + "sched/bad_order.cpp", 10},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_order.cpp", 11},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_order.cpp", 12},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_order.cpp", 14},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_order.cpp", 15},
       {"CC-SCHED-ORDER", std::string(kFx) + "sched/bad_order.cpp", 32},
-      {"CC-COLL-DIV-CALL", std::string(kFx) + "sched/bad_order.cpp", 33},
-      {"CC-COLL-DIV-CALL", std::string(kFx) + "sched/bad_order.cpp", 35},
       // bad_loop.cpp: rank-dependent trip counts around collectives.
       {"CC-SCHED-LOOP", std::string(kFx) + "sched/bad_loop.cpp", 10},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_loop.cpp", 11},
       {"CC-SCHED-LOOP", std::string(kFx) + "sched/bad_loop.cpp", 17},
-      {"CC-COLL-DIV", std::string(kFx) + "sched/bad_loop.cpp", 18},
       // bad_unwind.cpp: collectives on the RankDeadError unwind path,
       // direct and behind a helper.
       {"CC-SCHED-UNWIND", std::string(kFx) + "sched/bad_unwind.cpp", 14},
       {"CC-SCHED-UNWIND", std::string(kFx) + "sched/bad_unwind.cpp", 28},
-  };
+  });
   EXPECT_EQ(keys(result), expected);
-  // clean.cpp (config alternation, schedule-equal arms, order-equal
-  // helpers behind different names, invariant loops, sanctioned recovery
-  // handler) must contribute nothing — exact-set match above.
+  // clean.cpp (config alternation, schedule-equal arms, rank-guarded p2p,
+  // order-equal helpers behind different names, invariant loops, exits
+  // that stop at their loop or switch, sanctioned recovery handler) must
+  // contribute nothing — exact-set match above.
 }
 
 TEST(Collcheck, FiberReadinessFamily) {
@@ -261,13 +268,16 @@ TEST(Collcheck, LayerTablePinsTheDag) {
 }
 
 TEST(Collcheck, InlineAllowSuppressesSameAndNextLine) {
-  // f demonstrates both placements: a trailing same-line allow on the
-  // branch (CC-SCHED-DIV) and a preceding-line allow on the collective
-  // (CC-COLL-DIV).  g is identical but unannotated, so both rules fire.
+  // f demonstrates both placements on rank branches (CC-SCHED-DIV): a
+  // trailing same-line allow, and an allow on the line above.  g is
+  // identical to f's first branch but unannotated, so it fires.
   const std::string src =
       "void f(collrep::simmpi::Comm& comm) {\n"
       "  if (comm.rank() == 0) {  // collcheck:allow(CC-SCHED-DIV)\n"
-      "    // collcheck:allow(CC-COLL-DIV)\n"
+      "    comm.barrier();\n"
+      "  }\n"
+      "  // collcheck:allow(CC-SCHED-DIV)\n"
+      "  if (comm.rank() == 1) {\n"
       "    comm.barrier();\n"
       "  }\n"
       "}\n"
@@ -279,8 +289,7 @@ TEST(Collcheck, InlineAllowSuppressesSameAndNextLine) {
   const auto result =
       collcheck::analyze_sources({{"src/core/allow_demo.cpp", src}});
   const std::set<Key> expected = {
-      {"CC-SCHED-DIV", "src/core/allow_demo.cpp", 8},
-      {"CC-COLL-DIV", "src/core/allow_demo.cpp", 9},
+      {"CC-SCHED-DIV", "src/core/allow_demo.cpp", 11},
   };
   EXPECT_EQ(keys(result), expected);
 }
@@ -289,13 +298,13 @@ TEST(Collcheck, BaselineParsingAndStaleDetection) {
   // Exercised through the string-level API via a temp file is overkill;
   // drive the matcher directly.
   collcheck::Baseline bl;
-  bl.entries.push_back({"CC-COLL-DIV", "src/core/x.cpp", 10, "note", false});
-  bl.entries.push_back({"CC-COLL-DIV", "src/core/y.cpp", 0, "wild", false});
+  bl.entries.push_back({"CC-SCHED-DIV", "src/core/x.cpp", 10, "note", false});
+  bl.entries.push_back({"CC-SCHED-DIV", "src/core/y.cpp", 0, "wild", false});
   bl.entries.push_back({"CC-NONDET-RAND", "src/core/z.cpp", 3, "", false});
 
-  EXPECT_TRUE(bl.suppresses({"CC-COLL-DIV", "src/core/x.cpp", 10, ""}));
-  EXPECT_FALSE(bl.suppresses({"CC-COLL-DIV", "src/core/x.cpp", 11, ""}));
-  EXPECT_TRUE(bl.suppresses({"CC-COLL-DIV", "src/core/y.cpp", 99, ""}));
+  EXPECT_TRUE(bl.suppresses({"CC-SCHED-DIV", "src/core/x.cpp", 10, ""}));
+  EXPECT_FALSE(bl.suppresses({"CC-SCHED-DIV", "src/core/x.cpp", 11, ""}));
+  EXPECT_TRUE(bl.suppresses({"CC-SCHED-DIV", "src/core/y.cpp", 99, ""}));
   EXPECT_FALSE(bl.suppresses({"CC-RMA-FLAG", "src/core/y.cpp", 99, ""}));
 
   const auto stale = bl.unused();
@@ -342,11 +351,11 @@ TEST(Collcheck, BaselineRoundTrip) {
 
 TEST(Collcheck, SarifOutputIsWellFormed) {
   const std::vector<Finding> findings = {
-      {"CC-COLL-DIV", "src/core/dump.cpp", 42, "message with \"quotes\""},
+      {"CC-SCHED-DIV", "src/core/dump.cpp", 42, "message with \"quotes\""},
   };
   const std::string sarif = collcheck::to_sarif(findings, "1.2.3");
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"CC-COLL-DIV\""), std::string::npos);
+  EXPECT_NE(sarif.find("\"ruleId\": \"CC-SCHED-DIV\""), std::string::npos);
   EXPECT_NE(sarif.find("\"startLine\": 42"), std::string::npos);
   EXPECT_NE(sarif.find("message with \\\"quotes\\\""), std::string::npos);
   // Every rule in the catalog is described in the driver block.
@@ -384,7 +393,6 @@ TEST(Collcheck, TaintFlowsThroughAssignment) {
       collcheck::analyze_sources({{"src/core/taint_demo.cpp", src}});
   const std::set<Key> expected = {
       {"CC-SCHED-DIV", "src/core/taint_demo.cpp", 4},
-      {"CC-COLL-DIV", "src/core/taint_demo.cpp", 5},
   };
   EXPECT_EQ(keys(result), expected);
 }
@@ -462,10 +470,10 @@ TEST(Collcheck, OrderSignatureInlinesHelpersTransparently) {
       "void ping(collrep::simmpi::Comm& comm) { comm.barrier(); }\n"
       "void pong(collrep::simmpi::Comm& comm) { comm.barrier(); }\n"
       "void route(collrep::simmpi::Comm& comm) {\n"
-      "  if (comm.rank() == 0) {  // collcheck:allow(CC-COLL-DIV-CALL)\n"
+      "  if (comm.rank() == 0) {\n"
       "    ping(comm);\n"
       "  } else {\n"
-      "    pong(comm);  // collcheck:allow(CC-COLL-DIV-CALL)\n"
+      "    pong(comm);\n"
       "  }\n"
       "}\n";
   const auto result =

@@ -2,6 +2,7 @@
 // epochs, failure injection, and arena-backed restore round trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <vector>
@@ -62,10 +63,15 @@ TEST(TrackedArena, DeallocateSplitsSnapshot) {
 TEST(TrackedArena, FreedPagesAreReused) {
   TrackedArena arena(256, 4);
   const auto a = arena.allocate(256 * 2);
+  std::fill(a.begin(), a.end(), std::uint8_t{0xA5});
   arena.deallocate(a);
   const auto b = arena.allocate(256 * 2);
   EXPECT_EQ(a.data(), b.data());
   EXPECT_EQ(arena.live_pages(), 2u);
+  // A reused page comes back zeroed, like a fresh one: callers (and a
+  // block allocation that skips zero-filling) rely on carve() for that.
+  EXPECT_TRUE(std::all_of(b.begin(), b.end(),
+                          [](std::uint8_t x) { return x == 0; }));
 }
 
 TEST(TrackedArena, OversizedAllocationGetsDedicatedBlock) {

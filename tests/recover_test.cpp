@@ -139,6 +139,61 @@ TEST(Containment, SingleDeathShrinksAndContinues) {
   EXPECT_EQ(tel.metrics().counter("simmpi.rank_deaths"), 1u);
 }
 
+// After a shrink, dense ranks no longer line up with the cluster's world
+// placement.  The node-aware partner repair must reason about world nodes:
+// no survivor's chunk may land on another store of its own node.
+TEST(Containment, NodeAwarePartnersUseWorldNodesAfterShrink) {
+  constexpr int kN = 12;
+  constexpr int kK = 3;
+  fault::FaultSchedule sched;
+  add_kills(sched, {1}, "test.kill");  // not node-aligned: shifts dense ranks
+  simmpi::RuntimeOptions opts;
+  opts.contain_failures = true;
+  opts.faults = &sched;
+  opts.cluster.ranks_per_node = 3;  // four nodes; node 0 keeps worlds 0 and 2
+
+  std::vector<chunk::ChunkStore> stores;
+  for (int w = 0; w < kN; ++w) stores.emplace_back(chunk::StoreMode::kPayload);
+  std::vector<int> dense_of(kN, -1);
+  std::vector<std::uint32_t> reported(kN, 0);
+  simmpi::Runtime rt(kN, opts);
+  rt.run([&](simmpi::Comm& comm) {
+    const int w = comm.world_rank();
+    comm.fault_point("test.kill");
+    EXPECT_THROW(comm.barrier(), simmpi::RankDeadError);
+    (void)comm.shrink();
+    dense_of[static_cast<std::size_t>(w)] = comm.rank();
+    const auto data = unique_pages(w);
+    chunk::Dataset ds;
+    ds.add_segment(data);
+    core::DumpConfig cfg;
+    cfg.chunk_bytes = kPage;
+    cfg.node_aware_partners = true;
+    core::Dumper dumper(comm, stores[static_cast<std::size_t>(w)], cfg);
+    reported[static_cast<std::size_t>(w)] =
+        dumper.dump_output(ds, kK).same_node_partners;
+  });
+
+  const sim::ClusterConfig& cluster = opts.cluster;
+  for (int w = 0; w < kN; ++w) {
+    if (w == 1) continue;
+    EXPECT_EQ(reported[static_cast<std::size_t>(w)], 0u) << "world " << w;
+    const auto* m = stores[static_cast<std::size_t>(w)].manifest_for(
+        dense_of[static_cast<std::size_t>(w)]);
+    ASSERT_NE(m, nullptr) << "world " << w;
+    for (int v = 0; v < kN; ++v) {
+      if (v == w || v == 1 || cluster.node_of(v) != cluster.node_of(w)) {
+        continue;
+      }
+      for (const chunk::ManifestEntry& e : m->entries) {
+        EXPECT_FALSE(stores[static_cast<std::size_t>(v)].contains(e.fp))
+            << "world " << w << "'s chunk sits on world " << v
+            << ", same node " << cluster.node_of(w);
+      }
+    }
+  }
+}
+
 // -- RecoveryService over hand-built stores ------------------------------------
 
 struct ManualWorld {

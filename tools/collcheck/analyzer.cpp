@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -41,18 +40,7 @@ const std::unordered_map<std::string, int>& layer_table() {
   return kRanks;
 }
 
-// Identifier sets driving the rules.  The collective call-name table comes
-// from the shared registry so collcheck, simmpi, obs and collprof can never
-// disagree about what counts as a collective.
-const std::unordered_set<std::string>& collective_free_names() {
-  static const std::unordered_set<std::string> kNames = {
-#define COLLREP_COLLECTIVE_OBS(Name, str) str,
-#define COLLREP_COLLECTIVE_ALIAS(str) str,
-#include "obs/collectives.def"
-  };
-  return kNames;
-}
-
+// Identifier sets driving the token rules.
 const std::unordered_set<std::string>& wall_clock_idents() {
   static const std::unordered_set<std::string> kNames = {
       "system_clock", "steady_clock", "high_resolution_clock",
@@ -251,6 +239,7 @@ void extract_functions(FileUnit& unit) {
       break;
     }
     extract_calls(toks, fn);
+    fn.taint = rank_taint(toks, fn.body_begin, fn.body_end);
     const std::size_t resume = fn.body_end + 1;
     unit.functions.push_back(std::move(fn));
     i = resume;
@@ -258,40 +247,14 @@ void extract_functions(FileUnit& unit) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-function RMA + collective analysis (rank taint engine in taint.hpp)
+// Per-function RMA analysis and p2p facts (rank taint from taint.hpp)
 // ---------------------------------------------------------------------------
-
-struct FnAnalysis {
-  std::vector<Finding> findings;
-};
-
-[[nodiscard]] bool is_collective_free_call(const CallSite& c) {
-  if (c.method) return false;
-  if (!collective_free_names().contains(c.name)) return false;
-  return c.qualifier.empty() || c.qualifier == "simmpi";
-}
-
-[[nodiscard]] bool is_collective_method(const CallSite& c) {
-  return c.method && (c.name == "barrier" || c.name == "win_create");
-}
 
 enum class WinState { kUnopened, kOpen, kNoSucceed };
 
 void analyze_function(const FileUnit& unit, FunctionInfo& fn,
                       std::vector<Finding>& findings) {
   const Toks& toks = unit.lexed.tokens;
-
-  // ---- rank taint ----
-  TaintCtx ctx;
-  ctx.toks = &toks;
-  ctx.tainted_at.assign(toks.size(), 0);
-  collect_tainted_vars(ctx, fn.body_begin, fn.body_end);
-  (void)walk_region(ctx, fn.body_begin, fn.body_end, false, false);
-
-  for (CallSite& c : fn.calls) {
-    c.rank_conditional = c.tok < ctx.tainted_at.size() &&
-                         ctx.tainted_at[c.tok] != 0;
-  }
 
   // Variables whose value depends on which rank executes (assigned under
   // rank-conditional control flow) feed CC-P2P-TAGDIV; `me = comm.rank()`
@@ -303,7 +266,7 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
       continue;
     }
     if (is_punct(toks[i + 1], "=")) {
-      if (ctx.tainted_at[i] != 0) fn.divergent_vars.push_back(t.text);
+      if (fn.taint.marked(i)) fn.divergent_vars.push_back(t.text);
       // `alias = R.rank();` / `R.world_rank();`
       if (i + 7 < fn.body_end && toks[i + 2].kind == TokKind::kIdent &&
           is_punct(toks[i + 3], ".") &&
@@ -413,40 +376,6 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
       it->second = nosucceed ? WinState::kNoSucceed : WinState::kOpen;
     }
   }
-
-  // ---- direct collective marker (for the inter-procedural pass) ----
-  for (const CallSite& c : fn.calls) {
-    if (is_collective_free_call(c) || is_collective_method(c)) {
-      fn.has_direct_collective = true;
-      break;
-    }
-  }
-  // fence/free on tracked windows are collective too.
-  if (!fn.has_direct_collective) {
-    for (const CallSite& c : fn.calls) {
-      if (c.method && (c.name == "fence" || c.name == "free") &&
-          windows.contains(c.receiver)) {
-        fn.has_direct_collective = true;
-        break;
-      }
-    }
-  }
-
-  // ---- rank-divergent direct collectives ----
-  for (const CallSite& c : fn.calls) {
-    if (!c.rank_conditional) continue;
-    const bool window_collective =
-        c.method && (c.name == "fence" || c.name == "free") &&
-        windows.contains(c.receiver);
-    if (is_collective_free_call(c) || is_collective_method(c) ||
-        window_collective) {
-      findings.push_back(Finding{
-          std::string(kRuleCollDiv), unit.path, c.line,
-          "collective '" + c.name +
-              "' is reachable only under rank-dependent control flow; all "
-              "ranks must execute the same collective sequence"});
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,8 +383,7 @@ void analyze_function(const FileUnit& unit, FunctionInfo& fn,
 // ---------------------------------------------------------------------------
 
 void scan_tokens(const FileUnit& unit, std::vector<Finding>& findings) {
-  const bool sim_path = layer_rank(unit.component) >= 0 &&
-                        layer_rank(unit.component) < 100;
+  const bool sim_path = is_sim_component(unit.component);
   const Toks& toks = unit.lexed.tokens;
   std::set<std::pair<std::string, int>> seen;  // (rule, line) dedupe
   const auto emit = [&](std::string_view rule, int line, std::string msg) {
@@ -559,59 +487,6 @@ void check_layering(const FileUnit& unit, std::vector<Finding>& findings) {
 }
 
 // ---------------------------------------------------------------------------
-// Inter-procedural divergent-collective propagation
-// ---------------------------------------------------------------------------
-
-void propagate_bearing(std::vector<FileUnit>& files,
-                       std::vector<Finding>& findings) {
-  // Name -> is any function with this name collective-bearing?
-  std::unordered_map<std::string, bool> bearing;
-  for (const FileUnit& u : files) {
-    for (const FunctionInfo& f : u.functions) {
-      auto& b = bearing[f.name];
-      b = b || f.has_direct_collective;
-    }
-  }
-  // Fixpoint over the name-collapsed call graph.
-  bool changed = true;
-  int rounds = 0;
-  while (changed && ++rounds < 64) {
-    changed = false;
-    for (FileUnit& u : files) {
-      for (FunctionInfo& f : u.functions) {
-        if (bearing[f.name]) continue;
-        for (const CallSite& c : f.calls) {
-          const auto it = bearing.find(c.name);
-          if (it != bearing.end() && it->second) {
-            bearing[f.name] = true;
-            changed = true;
-            break;
-          }
-        }
-      }
-    }
-  }
-  for (FileUnit& u : files) {
-    for (FunctionInfo& f : u.functions) {
-      f.collective_bearing = bearing[f.name] || f.has_direct_collective;
-      for (const CallSite& c : f.calls) {
-        if (!c.rank_conditional) continue;
-        if (is_collective_free_call(c) || is_collective_method(c)) {
-          continue;  // already reported as CC-COLL-DIV
-        }
-        const auto it = bearing.find(c.name);
-        if (it == bearing.end() || !it->second) continue;
-        findings.push_back(Finding{
-            std::string(kRuleCollDivCall), u.path, c.line,
-            "call to '" + c.name +
-                "' (which transitively executes collectives) is reachable "
-                "only under rank-dependent control flow"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------------
 
@@ -638,15 +513,6 @@ void apply_inline_allows(const std::vector<FileUnit>& files,
 
 const std::vector<RuleInfo>& rule_catalog() {
   static const std::vector<RuleInfo> kCatalog = {
-      {kRuleCollDiv,
-       "collective or fence reachable only under rank-dependent control flow",
-       "hoist the collective out of the rank branch, or make every rank "
-       "execute it"},
-      {kRuleCollDivCall,
-       "call into a collective-bearing function under rank-dependent "
-       "control flow",
-       "all ranks must reach the callee; restructure so the call is "
-       "unconditional"},
       {kRuleRmaNoEpoch,
        "window put with no dominating epoch-opening win_create/fence in the "
        "same function",
@@ -747,6 +613,11 @@ int layer_rank(const std::string& component) {
   return it == layer_table().end() ? -1 : it->second;
 }
 
+bool is_sim_component(const std::string& component) {
+  const int r = layer_rank(component);
+  return r >= 0 && r < 100;
+}
+
 std::string component_of(const std::string& rel_path) {
   // Last "src/<comp>/" segment wins (fixture corpora embed their own src/
   // trees); otherwise the first path segment when it names a harness layer.
@@ -791,7 +662,6 @@ AnalysisResult analyze_sources(
       analyze_function(unit, fn, result.findings);
     }
   }
-  propagate_bearing(result.files, result.findings);
   const SharedModel model = build_shared_model(result.files);
   run_race_rules(model, result.findings);
   run_exc_rules(model, result.findings);

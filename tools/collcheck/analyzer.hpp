@@ -1,5 +1,5 @@
-// collcheck analysis driver: file collection, per-file parsing, the four
-// rule families, and inter-procedural propagation.  See DESIGN.md §10.
+// collcheck analysis entry points: file collection, per-file parsing, and
+// the rule passes.  See DESIGN.md §10.
 #pragma once
 
 #include <string>
@@ -37,6 +37,10 @@ struct AnalysisResult {
 // Layer rank for a component name; returns -1 when unknown.  Exposed for
 // the tests that pin the DAG.
 [[nodiscard]] int layer_rank(const std::string& component);
+
+// Does the component run on the simulated path (a ranked src layer, not a
+// harness)?  Scopes the determinism and fiber-readiness rules.
+[[nodiscard]] bool is_sim_component(const std::string& component);
 
 // Component for a repo-relative path ("core" for src/core/dump.cpp,
 // "tests" for tests/foo.cpp, "" when unmapped).

@@ -4,6 +4,7 @@
 #include "dataflow.hpp"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "tokutil.hpp"
 
@@ -12,7 +13,8 @@ namespace collcheck {
 namespace {
 
 // The collective registry, shared with simmpi/obs/collprof via the
-// X-macro so the throw-site model can never disagree with the runtime.
+// X-macro so collcheck can never disagree with the runtime about what
+// counts as a collective.
 const std::unordered_set<std::string>& collective_names() {
   static const std::unordered_set<std::string> kNames = {
 #define COLLREP_COLLECTIVE_OBS(Name, str) str,
@@ -22,27 +24,9 @@ const std::unordered_set<std::string>& collective_names() {
   return kNames;
 }
 
-// Method names that block on a dead peer and therefore raise
-// RankDeadError (or a RankFailure sibling) in simmpi's failure protocol.
-const std::unordered_set<std::string>& throwing_method_names() {
-  static const std::unordered_set<std::string> kNames = {
-      "barrier", "win_create", "shrink",      "recv_bytes",
-      "recv_value", "fence",   "fault_point",
-  };
-  return kNames;
-}
-
 bool is_guard_kind(const std::string& s) {
   return s == "scoped_lock" || s == "lock_guard" || s == "unique_lock" ||
          s == "shared_lock";
-}
-
-bool span_mentions(const Toks& toks, std::size_t b, std::size_t e,
-                   std::string_view ident) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (is_ident(toks[i], ident)) return true;
-  }
-  return false;
 }
 
 // The mutex key of a guard argument: the tail of its member chain
@@ -545,32 +529,46 @@ const std::vector<std::string>& GuardInfo::held_at(std::size_t tok) const {
   return off < held.size() ? held[off] : kEmpty;
 }
 
-const FnFacts* SharedModel::facts(std::size_t file_index,
-                                  std::size_t fn_index) const {
-  for (const FnFacts& f : fns) {
-    if (f.file_index == file_index && f.fn_index == fn_index) return &f;
-  }
-  return nullptr;
-}
-
 bool SharedModel::call_may_throw(const CallSite& c) const {
   if (is_rankdead_throw_site(c)) return true;
-  if (c.qualifier == "std") return false;
-  const auto it = throws_by_name.find(c.name);
-  return it != throws_by_name.end() && it->second;
+  return c.qualifier != "std" && may_throw.contains(c.name);
 }
 
-bool is_rankdead_throw_site(const CallSite& c) {
-  if (c.method) return throwing_method_names().contains(c.name);
+bool is_collective(const CallSite& c) {
+  if (c.method) {
+    return c.name == "barrier" || c.name == "win_create" || c.name == "fence";
+  }
   return collective_names().contains(c.name) &&
          (c.qualifier.empty() || c.qualifier == "simmpi");
 }
 
-const std::unordered_set<std::string>& rank_idents() {
-  static const std::unordered_set<std::string> kNames = {
-      "rank", "rank_", "vrank", "world_rank", "my_rank", "myrank",
-      "self_rank"};
-  return kNames;
+// Besides collectives, the calls that block on a dead peer and therefore
+// raise RankDeadError (or a RankFailure sibling) in simmpi's failure
+// protocol.
+bool is_rankdead_throw_site(const CallSite& c) {
+  if (is_collective(c)) return true;
+  return c.method && (c.name == "shrink" || c.name == "recv_bytes" ||
+                      c.name == "recv_value" || c.name == "fault_point");
+}
+
+std::unordered_set<std::string> reach_by_name(
+    const std::vector<NameEdges>& defs) {
+  std::unordered_map<std::string, std::vector<const std::string*>> callers;
+  std::unordered_set<std::string> reached;
+  std::vector<const std::string*> work;
+  for (const NameEdges& d : defs) {
+    for (const std::string& c : d.callees) callers[c].push_back(&d.name);
+    if (d.seed && reached.insert(d.name).second) work.push_back(&d.name);
+  }
+  while (!work.empty()) {
+    const auto it = callers.find(*work.back());
+    work.pop_back();
+    if (it == callers.end()) continue;
+    for (const std::string* caller : it->second) {
+      if (reached.insert(*caller).second) work.push_back(caller);
+    }
+  }
+  return reached;
 }
 
 SharedModel build_shared_model(const std::vector<FileUnit>& files) {
@@ -626,34 +624,22 @@ SharedModel build_shared_model(const std::vector<FileUnit>& files) {
     }
   }
 
-  // --- name-collapsed RankDead reachability (same collapse as bearing) ---
+  // --- may-throw: name-collapsed RankDead reachability; a swallowing
+  // definition is a firewall and contributes no edges ---
+  std::vector<NameEdges> throw_edges;
+  throw_edges.reserve(m.fns.size());
   for (const FnFacts& ff : m.fns) {
     const FunctionInfo& fn = files[ff.file_index].functions[ff.fn_index];
-    auto& b = m.throws_by_name[fn.name];
-    b = b || ff.direct_throw;
-  }
-  for (int round = 0; round < 64; ++round) {
-    bool changed = false;
-    for (const FnFacts& ff : m.fns) {
-      const FunctionInfo& fn = files[ff.file_index].functions[ff.fn_index];
-      if (ff.swallows_all || m.throws_by_name[fn.name]) continue;
-      for (const CallSite& c : fn.calls) {
-        if (c.qualifier == "std") continue;
-        const auto it = m.throws_by_name.find(c.name);
-        if (it != m.throws_by_name.end() && it->second) {
-          m.throws_by_name[fn.name] = true;
-          changed = true;
-          break;
-        }
-      }
+    NameEdges& d =
+        throw_edges.emplace_back(NameEdges{fn.name, ff.direct_throw, {}});
+    if (ff.swallows_all) continue;
+    for (const CallSite& c : fn.calls) {
+      if (c.qualifier != "std") d.callees.push_back(c.name);
     }
-    if (!changed) break;
   }
+  m.may_throw = reach_by_name(throw_edges);
 
-  // --- caller-context lock propagation (the `*_locked` convention) ---
-  // ctx_held(g) = intersection over same-class call sites of
-  // (lexically held at the site ∪ ctx_held of the caller).  Starts empty
-  // (safe under-approximation) and grows monotonically to a fixpoint.
+  // --- same-class call resolution, once per function ---
   std::unordered_map<const ClassInfo*,
                      std::unordered_map<std::string, std::vector<std::size_t>>>
       members;  // class -> fn name -> indices into m.fns
@@ -663,30 +649,38 @@ SharedModel build_shared_model(const std::vector<FileUnit>& files) {
     const FunctionInfo& fn = files[ff.file_index].functions[ff.fn_index];
     members[ff.cls][fn.name].push_back(i);
   }
+  for (FnFacts& ff : m.fns) {
+    if (ff.cls == nullptr) continue;
+    const auto& by_fn_name = members[ff.cls];
+    const FunctionInfo& fn = files[ff.file_index].functions[ff.fn_index];
+    for (const CallSite& c : fn.calls) {
+      if (c.method && c.receiver != "this") continue;
+      if (!c.method && !c.qualifier.empty()) continue;
+      const auto it = by_fn_name.find(c.name);
+      if (it == by_fn_name.end()) continue;
+      for (const std::size_t callee : it->second) {
+        ff.member_calls.emplace_back(&c, callee);
+      }
+    }
+  }
+
+  // --- caller-context lock propagation (the `*_locked` convention) ---
+  // ctx_held(g) = intersection over same-class call sites of
+  // (lexically held at the site ∪ ctx_held of the caller).  Starts empty
+  // (safe under-approximation) and grows monotonically to a fixpoint.
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
     // callee fn index -> list of held-sets observed this round
     std::unordered_map<std::size_t, std::vector<std::vector<std::string>>>
         sites;
     for (const FnFacts& caller : m.fns) {
-      if (caller.cls == nullptr) continue;
-      const FunctionInfo& fn =
-          files[caller.file_index].functions[caller.fn_index];
-      const auto cls_it = members.find(caller.cls);
-      if (cls_it == members.end()) continue;
-      for (const CallSite& c : fn.calls) {
-        if (c.method && c.receiver != "this") continue;
-        if (!c.method && !c.qualifier.empty()) continue;
-        const auto mem_it = cls_it->second.find(c.name);
-        if (mem_it == cls_it->second.end()) continue;
-        std::vector<std::string> held = caller.guards.held_at(c.tok);
+      for (const auto& [c, callee] : caller.member_calls) {
+        std::vector<std::string> held = caller.guards.held_at(c->tok);
         held.insert(held.end(), caller.ctx_held.begin(),
                     caller.ctx_held.end());
         std::sort(held.begin(), held.end());
         held.erase(std::unique(held.begin(), held.end()), held.end());
-        for (const std::size_t callee : mem_it->second) {
-          sites[callee].push_back(held);
-        }
+        sites[callee].push_back(std::move(held));
       }
     }
     for (auto& [callee, held_sets] : sites) {
@@ -710,20 +704,9 @@ SharedModel build_shared_model(const std::vector<FileUnit>& files) {
   for (int round = 0; round < 8; ++round) {
     bool changed = false;
     for (FnFacts& caller : m.fns) {
-      if (caller.cls == nullptr) continue;
-      const FunctionInfo& fn =
-          files[caller.file_index].functions[caller.fn_index];
-      const auto cls_it = members.find(caller.cls);
-      if (cls_it == members.end()) continue;
-      for (const CallSite& c : fn.calls) {
-        if (c.method && c.receiver != "this") continue;
-        if (!c.method && !c.qualifier.empty()) continue;
-        const auto mem_it = cls_it->second.find(c.name);
-        if (mem_it == cls_it->second.end()) continue;
-        for (const std::size_t callee : mem_it->second) {
-          for (const std::string& mu : m.fns[callee].locks_acquired) {
-            if (caller.locks_acquired.insert(mu).second) changed = true;
-          }
+      for (const auto& [c, callee] : caller.member_calls) {
+        for (const std::string& mu : m.fns[callee].locks_acquired) {
+          if (caller.locks_acquired.insert(mu).second) changed = true;
         }
       }
     }

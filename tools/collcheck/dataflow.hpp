@@ -1,14 +1,15 @@
 // collcheck shared dataflow layer: the class/field index over the scanned
 // sources, lock guard-region tracking, and call-graph summaries reused by
-// the CC-RACE, CC-EXC and CC-P2P rule families.  Semantics and known
-// false-negative limits are documented in DESIGN.md §13.
+// the CC-RACE, CC-EXC and CC-P2P rule families, plus the collective
+// predicate and call-graph fixpoint the schedule pass shares.  Semantics
+// and known false-negative limits are documented in DESIGN.md §13.
 #pragma once
 
 #include <cstddef>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "model.hpp"
@@ -81,6 +82,10 @@ struct FnFacts {
   const ClassInfo* cls = nullptr;  // owning class, when resolved
   bool ctor_dtor = false;          // ctor/dtor of `cls`
   GuardInfo guards;
+  // Same-class calls (`f()` / `this->f()` inside a member of `cls`),
+  // resolved once: (call site, callee index into SharedModel::fns), in
+  // call order.
+  std::vector<std::pair<const CallSite*, std::size_t>> member_calls;
   // Locks held by every caller at every observed same-class call site
   // (the `*_locked` helper convention): intersection over call sites.
   std::vector<std::string> ctx_held;
@@ -94,12 +99,9 @@ struct SharedModel {
   const std::vector<FileUnit>* files = nullptr;
   std::vector<ClassInfo> classes;
   std::vector<FnFacts> fns;  // ordered by (file_index, fn_index)
-  // Name-collapsed "can this callee reach a RankDeadError throw site"
-  // summary (same collapse as the CC-COLL-DIV-CALL bearing map).
-  std::unordered_map<std::string, bool> throws_by_name;
+  // Names whose calls can reach a RankDeadError throw site (reach_by_name).
+  std::unordered_set<std::string> may_throw;
 
-  [[nodiscard]] const FnFacts* facts(std::size_t file_index,
-                                     std::size_t fn_index) const;
   // Can this call site throw RankDeadError (directly or via summary)?
   [[nodiscard]] bool call_may_throw(const CallSite& c) const;
 };
@@ -107,12 +109,28 @@ struct SharedModel {
 [[nodiscard]] SharedModel build_shared_model(
     const std::vector<FileUnit>& files);
 
-// Is this call site itself a RankDeadError throw site (collective, recv,
-// shrink, fence, fault_point)?
+// Is this call site a collective?  Free calls named in the shared registry
+// (src/obs/collectives.def, unqualified or `simmpi::`), plus the method
+// forms barrier / win_create / fence.
+[[nodiscard]] bool is_collective(const CallSite& c);
+
+// Is this call site itself a RankDeadError throw site: a collective, or a
+// shrink / recv / fault_point method call?
 [[nodiscard]] bool is_rankdead_throw_site(const CallSite& c);
 
-// Rank-named identifiers shared with the taint rules.
-[[nodiscard]] const std::unordered_set<std::string>& rank_idents();
+// One function definition's edges in the name-collapsed call graph.
+struct NameEdges {
+  std::string name;
+  bool seed = false;
+  std::vector<std::string> callees;
+};
+
+// The call-graph fixpoint: the names reached when any definition of a name
+// is a seed or calls a reached name.  Overloads and same-named methods
+// collapse into one node.  Serves the may-throw summary and the schedule
+// pass's op-bearing set.
+[[nodiscard]] std::unordered_set<std::string> reach_by_name(
+    const std::vector<NameEdges>& defs);
 
 // The three v2 rule passes.
 void run_race_rules(const SharedModel& m, std::vector<Finding>& findings);

@@ -1,9 +1,9 @@
-// Seeded true positive for the inter-procedural divergent-collective rule
-// (CC-COLL-DIV-CALL): the collective hides one call level down.
+// Seeded true positive for CC-SCHED-DIV through a helper: the collective
+// hides one call level down, so only the inlined schedule sees it.
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 
-namespace fx {
+namespace sched_fx {
 
 void sync_and_publish(collrep::simmpi::Comm& comm, int& value) {
   collrep::simmpi::bcast(comm, value, 0);
@@ -12,9 +12,9 @@ void sync_and_publish(collrep::simmpi::Comm& comm, int& value) {
 void leader_only_publish(collrep::simmpi::Comm& comm) {
   int value = 7;
   const int me = comm.rank();
-  if (me == 0) {
-    sync_and_publish(comm, value);  // expect CC-COLL-DIV-CALL line 16
+  if (me == 0) {  // expect CC-SCHED-DIV line 15
+    sync_and_publish(comm, value);
   }
 }
 
-}  // namespace fx
+}  // namespace sched_fx

@@ -8,14 +8,14 @@ namespace sched_fx {
 
 void rank_bounded_rounds(collrep::simmpi::Comm& comm) {
   for (int i = 0; i < comm.rank(); ++i) {  // expect CC-SCHED-LOOP line 10
-    comm.barrier();  // expect CC-COLL-DIV line 11
+    comm.barrier();
   }
 }
 
 void derived_trip_count(collrep::simmpi::Comm& comm, int value) {
   int steps = comm.rank() * 2;
   while (steps > 0) {  // expect CC-SCHED-LOOP line 17
-    (void)collrep::simmpi::allreduce_sum(comm, value);  // CC-COLL-DIV 18
+    (void)collrep::simmpi::allreduce_sum(comm, value);
     steps = steps - 1;
   }
 }

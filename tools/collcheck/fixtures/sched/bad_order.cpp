@@ -8,11 +8,11 @@ namespace sched_fx {
 
 void swapped_direct(collrep::simmpi::Comm& comm, int value) {
   if (comm.rank() % 2 == 0) {  // expect CC-SCHED-ORDER line 10
-    (void)collrep::simmpi::allreduce_sum(comm, value);  // CC-COLL-DIV 11
-    comm.barrier();  // expect CC-COLL-DIV line 12
+    (void)collrep::simmpi::allreduce_sum(comm, value);
+    comm.barrier();
   } else {
-    comm.barrier();  // expect CC-COLL-DIV line 14
-    (void)collrep::simmpi::allreduce_sum(comm, value);  // CC-COLL-DIV 15
+    comm.barrier();
+    (void)collrep::simmpi::allreduce_sum(comm, value);
   }
 }
 
@@ -30,9 +30,9 @@ void sync_then_sum(collrep::simmpi::Comm& comm, int v) {
 // still differ even though each arm is a single call.
 void swapped_via_calls(collrep::simmpi::Comm& comm, int value) {
   if (comm.rank() == 0) {  // expect CC-SCHED-ORDER line 32
-    sum_then_sync(comm, value);  // expect CC-COLL-DIV-CALL line 33
+    sum_then_sync(comm, value);
   } else {
-    sync_then_sum(comm, value);  // expect CC-COLL-DIV-CALL line 35
+    sync_then_sum(comm, value);
   }
 }
 

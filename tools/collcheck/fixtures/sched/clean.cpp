@@ -1,7 +1,8 @@
 // Clean negatives for the CC-SCHED family: config-invariant alternation,
-// schedule-equal rank branches, invariant loops, order-equal helpers
-// behind different names, and a handler that engages recovery before any
-// collective.  collcheck must report nothing here.
+// schedule-equal rank branches, rank-guarded p2p, invariant loops,
+// order-equal helpers behind different names, rank-dependent exits that
+// stop before any collective, and a handler that engages recovery before
+// any collective.  collcheck must report nothing here.
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 
@@ -25,10 +26,23 @@ void config_alternation(collrep::simmpi::Comm& comm, const Config& cfg) {
 // Rank-dependent condition, but both arms run the same schedule.
 void divergent_but_equal(collrep::simmpi::Comm& comm) {
   if (comm.rank() == 0) {
-    comm.barrier();  // collcheck:allow(CC-COLL-DIV) — schedule-equal arms
+    comm.barrier();
   } else {
-    comm.barrier();  // collcheck:allow(CC-COLL-DIV)
+    comm.barrier();
   }
+}
+
+// Rank-guarded p2p is the normal root/leaf pattern: p2p ops are not part
+// of the collective schedule.
+void root_sends_leaves_receive(collrep::simmpi::Comm& comm) {
+  if (comm.rank() == 0) {
+    for (int r = 1; r < comm.size(); ++r) {
+      comm.send_value(r, 9, r * 2);
+    }
+  } else {
+    (void)comm.recv_value<int>(0, 9);
+  }
+  comm.barrier();
 }
 
 void sync_via_alpha(collrep::simmpi::Comm& comm) {
@@ -43,9 +57,9 @@ void sync_via_beta(collrep::simmpi::Comm& comm) {
 // signature inlines callees transparently, so this must stay quiet.
 void equal_via_helpers(collrep::simmpi::Comm& comm) {
   if (comm.rank() == 0) {
-    sync_via_alpha(comm);  // collcheck:allow(CC-COLL-DIV-CALL)
+    sync_via_alpha(comm);
   } else {
-    sync_via_beta(comm);  // collcheck:allow(CC-COLL-DIV-CALL)
+    sync_via_beta(comm);
   }
 }
 
@@ -54,6 +68,24 @@ void invariant_rounds(collrep::simmpi::Comm& comm, const Config& cfg) {
   for (int i = 0; i < cfg.rounds; ++i) {
     comm.barrier();
   }
+}
+
+// A break leaves only its loop or switch: the barrier after them runs on
+// every rank.
+void exits_stop_at_loop_and_switch(collrep::simmpi::Comm& comm, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    if (comm.rank() == 0) break;
+  }
+  do {
+    if (comm.rank() == 0) break;
+  } while (--rounds > 0);
+  switch (comm.rank()) {
+    case 0:
+      break;
+    default:
+      break;
+  }
+  comm.barrier();
 }
 
 // The handler hands control to the failure protocol before any

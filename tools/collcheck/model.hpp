@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "lexer.hpp"
@@ -14,8 +15,6 @@ namespace collcheck {
 
 // Rule identifiers.  Stable strings: they appear in baselines, inline
 // allow comments, SARIF output, and the test suite.
-inline constexpr std::string_view kRuleCollDiv = "CC-COLL-DIV";
-inline constexpr std::string_view kRuleCollDivCall = "CC-COLL-DIV-CALL";
 inline constexpr std::string_view kRuleRmaNoEpoch = "CC-RMA-NOEPOCH";
 inline constexpr std::string_view kRuleRmaNoSucceed = "CC-RMA-NOSUCCEED";
 inline constexpr std::string_view kRuleRmaFlag = "CC-RMA-FLAG";
@@ -68,9 +67,24 @@ struct CallSite {
   std::string qualifier;  // `ns` in `ns::name(...)`, empty otherwise
   bool method = false;    // preceded by `.` or `->`
   int line = 0;
-  bool rank_conditional = false;  // under rank-derived control flow
   std::size_t tok = 0;        // token index of the callee name
   std::size_t args_open = 0;  // token index of the "(" opening the args
+};
+
+// Rank taint of one function body (taint.hpp): variables assigned from
+// rank-derived values, and which body tokens sit under rank-dependent
+// control flow.
+struct RankTaint {
+  std::unordered_set<std::string> vars;
+  std::size_t base = 0;  // token index of at[0] (the body start)
+  // Byte-valued rather than vector<bool>: the bit-proxy specialization
+  // trips GCC's -Wnull-dereference inside libstdc++ when assign() is
+  // inlined.
+  std::vector<unsigned char> at;
+
+  [[nodiscard]] bool marked(std::size_t tok) const {
+    return tok >= base && tok - base < at.size() && at[tok - base] != 0;
+  }
 };
 
 // Per-function summary extracted by the parser.
@@ -84,9 +98,7 @@ struct FunctionInfo {
   bool is_dtor = false;
   bool is_noexcept = false;  // explicit noexcept (dtors are implicit)
   std::vector<CallSite> calls;
-  // Filled by the collective analysis:
-  bool has_direct_collective = false;
-  bool collective_bearing = false;  // transitively reaches a collective
+  RankTaint taint;
   // Variables assigned under rank-dependent control flow (feeds the
   // CC-P2P-TAGDIV rule) and aliases of `<receiver>.rank()` (feeds
   // CC-P2P-SELF): (alias, receiver) pairs.

@@ -11,6 +11,7 @@
 #include <set>
 
 #include "dataflow.hpp"
+#include "taint.hpp"
 #include "tokutil.hpp"
 
 namespace collcheck {
@@ -281,20 +282,9 @@ void check_lock_order(const SharedModel& m, std::vector<Finding>& findings) {
                                       Edge>>
       edges;
 
-  std::unordered_map<const ClassInfo*,
-                     std::unordered_map<std::string, std::vector<std::size_t>>>
-      members;
-  for (std::size_t i = 0; i < m.fns.size(); ++i) {
-    if (m.fns[i].cls == nullptr) continue;
-    const FunctionInfo& fn =
-        files[m.fns[i].file_index].functions[m.fns[i].fn_index];
-    members[m.fns[i].cls][fn.name].push_back(i);
-  }
-
   for (const FnFacts& ff : m.fns) {
     if (ff.cls == nullptr) continue;
     const FileUnit& unit = files[ff.file_index];
-    const FunctionInfo& fn = unit.functions[ff.fn_index];
     auto& cls_edges = edges[ff.cls];
     const auto add_edge = [&](const std::string& held,
                               const std::string& acquired, int line) {
@@ -311,23 +301,14 @@ void check_lock_order(const SharedModel& m, std::vector<Finding>& findings) {
     }
     // Inter-procedural: a call made under a lock reaches the callee's
     // same-class acquisitions.
-    const auto cls_it = members.find(ff.cls);
-    if (cls_it == members.end()) continue;
-    for (const CallSite& c : fn.calls) {
-      if (c.method && c.receiver != "this") continue;
-      if (!c.method && !c.qualifier.empty()) continue;
-      const auto mem_it = cls_it->second.find(c.name);
-      if (mem_it == cls_it->second.end()) continue;
+    for (const auto& [c, callee] : ff.member_calls) {
       std::set<std::string> held;
-      const auto& lex = ff.guards.held_at(c.tok);
+      const auto& lex = ff.guards.held_at(c->tok);
       held.insert(lex.begin(), lex.end());
       held.insert(ff.ctx_held.begin(), ff.ctx_held.end());
-      if (held.empty()) continue;
-      for (const std::size_t callee : mem_it->second) {
-        for (const std::string& n : m.fns[callee].locks_acquired) {
-          if (held.contains(n)) continue;  // recursive re-entry, not order
-          for (const std::string& h : held) add_edge(h, n, c.line);
-        }
+      for (const std::string& n : m.fns[callee].locks_acquired) {
+        if (held.contains(n)) continue;  // recursive re-entry, not order
+        for (const std::string& h : held) add_edge(h, n, c->line);
       }
     }
   }

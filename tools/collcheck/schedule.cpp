@@ -18,23 +18,6 @@ namespace {
 
 using Kind = SchedNode::Kind;
 
-// Same registry the per-call rules use; collcheck and the runtime can
-// never disagree about what counts as a collective.
-const std::unordered_set<std::string>& sched_collective_names() {
-  static const std::unordered_set<std::string> kNames = {
-#define COLLREP_COLLECTIVE_OBS(Name, str) str,
-#define COLLREP_COLLECTIVE_ALIAS(str) str,
-#include "obs/collectives.def"
-  };
-  return kNames;
-}
-
-[[nodiscard]] bool sched_is_collective(const CallSite& c) {
-  if (c.method) return c.name == "barrier" || c.name == "win_create";
-  if (!sched_collective_names().contains(c.name)) return false;
-  return c.qualifier.empty() || c.qualifier == "simmpi";
-}
-
 [[nodiscard]] bool sched_is_p2p(const CallSite& c) {
   return c.name == "send_bytes" || c.name == "send_value" ||
          c.name == "recv_bytes" || c.name == "recv_value";
@@ -53,17 +36,9 @@ const std::unordered_set<std::string>& sched_collective_names() {
 
 struct BuildCtx {
   const Toks* toks = nullptr;
-  TaintCtx taint;
+  const RankTaint* taint = nullptr;
   std::unordered_map<std::size_t, const CallSite*> call_at;
 };
-
-[[nodiscard]] bool span_mentions(const Toks& toks, std::size_t b,
-                                 std::size_t e, std::string_view word) {
-  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
-    if (is_ident(toks[i], word)) return true;
-  }
-  return false;
-}
 
 SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e);
 
@@ -83,20 +58,37 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e);
 // Parse the region after a control header: `{ ... }` or a single
 // statement.  Returns the walked subtree and sets `past` one past it.
 SchedNode walk_branch(BuildCtx& bc, std::size_t body_b, std::size_t e,
-                      std::size_t& past, std::size_t& body_e) {
+                      std::size_t& past) {
   const Toks& toks = *bc.toks;
   if (body_b < e && is_punct(toks[body_b], "{")) {
-    body_e = std::min(match_bracket(toks, body_b), e);
+    const std::size_t body_e = std::min(match_bracket(toks, body_b), e);
     past = body_e + 1;
     return walk_span(bc, body_b + 1, body_e);
   }
-  body_e = stmt_end(toks, body_b, e);
+  const std::size_t body_e = stmt_end(toks, body_b, e);
   past = body_e + 1;
   return walk_span(bc, body_b, body_e);
 }
 
-[[nodiscard]] bool inherited_divergent(const BuildCtx& bc, std::size_t kw) {
-  return kw < bc.taint.tainted_at.size() && bc.taint.tainted_at[kw] != 0;
+// The exits that leave a child leave its parent too, unless the parent
+// is where they stop (loop body, switch segment: see the walks below).
+void add_child(SchedNode& parent, SchedNode child) {
+  parent.exits |= child.exits;
+  parent.children.push_back(std::move(child));
+}
+
+// A loop over `body` whose header `kw ... (open ... close)` decides the
+// trip count.  The loop takes its body's break/continue.
+SchedNode loop_node(const BuildCtx& bc, std::size_t kw, std::size_t open,
+                    std::size_t close, SchedNode body) {
+  SchedNode loop;
+  loop.kind = Kind::kLoop;
+  loop.line = (*bc.toks)[kw].line;
+  loop.divergent = bc.taint->marked(kw) ||
+                   span_tainted(*bc.toks, *bc.taint, open + 1, close);
+  body.exits &= SchedNode::kExitReturn;
+  add_child(loop, std::move(body));
+  return loop;
 }
 
 // `if`/`else if`/`else` chain -> one kAlt with a branch per arm plus a
@@ -107,7 +99,7 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
   SchedNode alt;
   alt.kind = Kind::kAlt;
   alt.line = toks[i].line;
-  alt.divergent = inherited_divergent(bc, i);
+  alt.divergent = bc.taint->marked(i);
   bool has_else = false;
   std::size_t k = i;
   resume = kNpos;
@@ -115,12 +107,9 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
     std::size_t open = 0;
     std::size_t close = 0;
     if (!parse_header(toks, k, e, open, close)) break;
-    if (span_tainted(bc.taint, open + 1, close)) alt.divergent = true;
+    if (span_tainted(toks, *bc.taint, open + 1, close)) alt.divergent = true;
     std::size_t past = 0;
-    std::size_t body_e = 0;
-    alt.children.push_back(walk_branch(bc, close + 1, e, past, body_e));
-    alt.branch_exits.push_back(
-        span_mentions(toks, close + 1, body_e + 1, "return") ? 1 : 0);
+    add_child(alt, walk_branch(bc, close + 1, e, past));
     if (past < e && is_ident(toks[past], "else")) {
       const std::size_t eb = past + 1;
       if (eb < e && is_ident(toks[eb], "if")) {
@@ -129,10 +118,7 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
       }
       has_else = true;
       std::size_t epast = 0;
-      std::size_t ebody_e = 0;
-      alt.children.push_back(walk_branch(bc, eb, e, epast, ebody_e));
-      alt.branch_exits.push_back(
-          span_mentions(toks, eb, ebody_e + 1, "return") ? 1 : 0);
+      add_child(alt, walk_branch(bc, eb, e, epast));
       resume = epast;
     } else {
       resume = past;
@@ -144,7 +130,6 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
     empty.kind = Kind::kSeq;
     empty.line = alt.line;
     alt.children.push_back(std::move(empty));
-    alt.branch_exits.push_back(0);
   }
   return alt;
 }
@@ -163,7 +148,7 @@ SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
   alt.kind = Kind::kAlt;
   alt.line = toks[i].line;
   alt.divergent =
-      inherited_divergent(bc, i) || span_tainted(bc.taint, open + 1, close);
+      bc.taint->marked(i) || span_tainted(toks, *bc.taint, open + 1, close);
   const std::size_t body_b = close + 1;
   if (body_b >= e || !is_punct(toks[body_b], "{")) return {};
   const std::size_t body_e = std::min(match_bracket(toks, body_b), e);
@@ -185,19 +170,17 @@ SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
       j = colon;
     }
   }
+  // A `break` in a segment leaves the switch, not an enclosing loop.
+  const auto segment = [&](std::size_t seg_b, std::size_t seg_e) {
+    SchedNode seg = walk_span(bc, seg_b, seg_e);
+    seg.exits &= static_cast<unsigned char>(~SchedNode::kExitBreak);
+    add_child(alt, std::move(seg));
+  };
   if (starts.empty()) {
-    alt.children.push_back(walk_span(bc, body_b + 1, body_e));
-    alt.branch_exits.push_back(
-        span_mentions(toks, body_b + 1, body_e, "return") ? 1 : 0);
+    segment(body_b + 1, body_e);
   } else {
     for (std::size_t s = 0; s < starts.size(); ++s) {
-      const std::size_t seg_b = starts[s];
-      const std::size_t seg_e = s + 1 < starts.size()
-                                    ? starts[s + 1]
-                                    : body_e;
-      alt.children.push_back(walk_span(bc, seg_b, seg_e));
-      alt.branch_exits.push_back(
-          span_mentions(toks, seg_b, seg_e, "return") ? 1 : 0);
+      segment(starts[s], s + 1 < starts.size() ? starts[s + 1] : body_e);
     }
   }
   // Without a `default:` segment the switch may match nothing.
@@ -207,7 +190,6 @@ SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
     empty.kind = Kind::kSeq;
     empty.line = alt.line;
     alt.children.push_back(std::move(empty));
-    alt.branch_exits.push_back(0);
   }
   return alt;
 }
@@ -225,7 +207,7 @@ SchedNode walk_try(BuildCtx& bc, std::size_t i, std::size_t e,
   SchedNode node;
   node.kind = Kind::kTry;
   node.line = toks[i].line;
-  node.children.push_back(walk_span(bc, body_b + 1, body_e));
+  add_child(node, walk_span(bc, body_b + 1, body_e));
   std::size_t k = body_e + 1;
   while (k < e && is_ident(toks[k], "catch")) {
     const int catch_line = toks[k].line;
@@ -256,7 +238,7 @@ SchedNode walk_try(BuildCtx& bc, std::size_t i, std::size_t e,
     SchedNode handler = walk_span(bc, hb + 1, hc);
     handler.line = catch_line;
     node.catch_types.push_back(std::move(type));
-    node.children.push_back(std::move(handler));
+    add_child(node, std::move(handler));
     k = hc + 1;
   }
   resume = k;
@@ -279,7 +261,7 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
         ++i;  // malformed header; skip the keyword
         continue;
       }
-      if (!alt.children.empty()) seq.children.push_back(std::move(alt));
+      if (!alt.children.empty()) add_child(seq, std::move(alt));
       i = resume;
       continue;
     }
@@ -290,17 +272,24 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
         ++i;
         continue;
       }
-      SchedNode loop;
-      loop.kind = Kind::kLoop;
-      loop.line = t.line;
-      loop.divergent = inherited_divergent(bc, i) ||
-                       span_tainted(bc.taint, open + 1, close);
       std::size_t past = 0;
-      std::size_t body_e = 0;
-      loop.children.push_back(walk_branch(bc, close + 1, e, past, body_e));
-      seq.children.push_back(std::move(loop));
+      SchedNode body = walk_branch(bc, close + 1, e, past);
+      add_child(seq, loop_node(bc, i, open, close, std::move(body)));
       i = past;
       continue;
+    }
+    if (is_ident(t, "do") && i + 1 < e && is_punct(toks[i + 1], "{")) {
+      // `do { ... } while (cond);`: the header follows the body.
+      const std::size_t body_e = std::min(match_bracket(toks, i + 1), e);
+      std::size_t open = 0;
+      std::size_t close = 0;
+      if (body_e + 1 < e && is_ident(toks[body_e + 1], "while") &&
+          parse_header(toks, body_e + 1, e, open, close)) {
+        SchedNode body = walk_span(bc, i + 2, body_e);
+        add_child(seq, loop_node(bc, i, open, close, std::move(body)));
+        i = close + 1;
+        continue;
+      }
     }
     if (is_ident(t, "switch")) {
       std::size_t resume = kNpos;
@@ -309,7 +298,7 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
         ++i;
         continue;
       }
-      if (!alt.children.empty()) seq.children.push_back(std::move(alt));
+      if (!alt.children.empty()) add_child(seq, std::move(alt));
       i = resume;
       continue;
     }
@@ -320,7 +309,7 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
         ++i;
         continue;
       }
-      seq.children.push_back(std::move(node));
+      add_child(seq, std::move(node));
       i = resume;
       continue;
     }
@@ -331,15 +320,19 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
       for (SchedNode& c : sub.children) {
         seq.children.push_back(std::move(c));
       }
+      seq.exits |= sub.exits;
       i = close + 1;
       continue;
     }
+    if (is_ident(t, "return")) seq.exits |= SchedNode::kExitReturn;
+    if (is_ident(t, "break")) seq.exits |= SchedNode::kExitBreak;
+    if (is_ident(t, "continue")) seq.exits |= SchedNode::kExitContinue;
     const auto cit = bc.call_at.find(i);
     if (cit != bc.call_at.end()) {
       const CallSite& c = *cit->second;
       SchedNode n;
       n.line = c.line;
-      if (sched_is_collective(c)) {
+      if (is_collective(c)) {
         n.kind = Kind::kOp;
         n.name = c.name;
       } else if (sched_is_p2p(c)) {
@@ -369,17 +362,16 @@ struct FnSched {
   SchedNode root;
 };
 
-void gather_summary(const SchedNode& n, bool& has_op,
-                    std::vector<std::string>& calls) {
+void gather_summary(const SchedNode& n, NameEdges& d) {
   if (n.kind == Kind::kOp) {
-    has_op = true;
+    d.seed = true;
     return;
   }
   if (n.kind == Kind::kCall) {
-    calls.push_back(n.name);
+    d.callees.push_back(n.name);
     return;
   }
-  for (const SchedNode& c : n.children) gather_summary(c, has_op, calls);
+  for (const SchedNode& c : n.children) gather_summary(c, d);
 }
 
 constexpr int kExpandDepth = 6;
@@ -389,19 +381,15 @@ struct Engine {
   // Name -> all definitions, sorted by (path, line); the lexically first
   // is the canonical one expansions inline (DESIGN.md §15).
   std::map<std::string, std::vector<const FnSched*>> by_name;
-  // Name-collapsed "reaches any op" fixpoint, the pruning predicate for
+  // Names that reach any op (reach_by_name), the pruning predicate for
   // call-node expansion.
-  std::unordered_map<std::string, bool> bearing;
+  std::unordered_set<std::string> bearing;
 
   std::unordered_map<std::string, std::vector<std::string>> ops_memo;
   std::set<std::string> ops_busy;
   std::map<std::pair<std::string, int>, std::string> render_memo;
   std::set<std::string> render_busy;
 
-  [[nodiscard]] bool is_bearing(const std::string& name) const {
-    const auto it = bearing.find(name);
-    return it != bearing.end() && it->second;
-  }
   [[nodiscard]] const FnSched* canon(const std::string& name) const {
     const auto it = by_name.find(name);
     return it == by_name.end() ? nullptr : it->second.front();
@@ -414,10 +402,7 @@ Engine build_engine(const std::vector<FileUnit>& files) {
     for (const FunctionInfo& f : u.functions) {
       BuildCtx bc;
       bc.toks = &u.lexed.tokens;
-      bc.taint.toks = bc.toks;
-      bc.taint.tainted_at.assign(bc.toks->size(), 0);
-      collect_tainted_vars(bc.taint, f.body_begin, f.body_end);
-      (void)walk_region(bc.taint, f.body_begin, f.body_end, false, false);
+      bc.taint = &f.taint;
       for (const CallSite& c : f.calls) bc.call_at.emplace(c.tok, &c);
       FnSched fs;
       fs.unit = &u;
@@ -426,8 +411,12 @@ Engine build_engine(const std::vector<FileUnit>& files) {
       eng.fns.push_back(std::move(fs));
     }
   }
+  std::vector<NameEdges> edges;
+  edges.reserve(eng.fns.size());
   for (const FnSched& fs : eng.fns) {
     eng.by_name[fs.fn->name].push_back(&fs);
+    gather_summary(fs.root,
+                   edges.emplace_back(NameEdges{fs.fn->name, false, {}}));
   }
   for (auto& [name, defs] : eng.by_name) {
     std::sort(defs.begin(), defs.end(),
@@ -436,34 +425,7 @@ Engine build_engine(const std::vector<FileUnit>& files) {
                        std::tie(b->unit->path, b->fn->line);
               });
   }
-  // Op-bearing fixpoint (any definition counts, like the CC-COLL-DIV-CALL
-  // bearing map).
-  std::map<std::string, std::vector<std::string>> callees;
-  for (const FnSched& fs : eng.fns) {
-    bool has_op = false;
-    std::vector<std::string> calls;
-    gather_summary(fs.root, has_op, calls);
-    auto& b = eng.bearing[fs.fn->name];
-    b = b || has_op;
-    auto& cs = callees[fs.fn->name];
-    cs.insert(cs.end(), calls.begin(), calls.end());
-  }
-  bool changed = true;
-  int rounds = 0;
-  while (changed && ++rounds < 64) {
-    changed = false;
-    for (auto& [name, cs] : callees) {
-      if (eng.bearing[name]) continue;
-      for (const std::string& c : cs) {
-        const auto it = eng.bearing.find(c);
-        if (it != eng.bearing.end() && it->second) {
-          eng.bearing[name] = true;
-          changed = true;
-          break;
-        }
-      }
-    }
-  }
+  eng.bearing = reach_by_name(edges);
   return eng;
 }
 
@@ -485,7 +447,7 @@ void ops_of_node(Engine& eng, const SchedNode& n,
       if (!n.p2p) out.push_back(n.name);
       return;
     case Kind::kCall:
-      if (eng.is_bearing(n.name)) {
+      if (eng.bearing.contains(n.name)) {
         const std::vector<std::string> callee = ops_of_name(eng, n.name);
         out.insert(out.end(), callee.begin(), callee.end());
       }
@@ -598,7 +560,7 @@ std::string render_node(Engine& eng, const SchedNode& n, int depth,
       if (n.p2p && mode != RenderMode::kDump) return {};
       return n.p2p ? "p2p:" + n.name : n.name;
     case Kind::kCall: {
-      if (!eng.is_bearing(n.name)) return {};
+      if (!eng.bearing.contains(n.name)) return {};
       if (depth <= 0) {
         return mode == RenderMode::kDump ? n.name + "{...}"
                                          : std::string("...");
@@ -709,7 +671,7 @@ UScan scan_unwind(Engine& eng, const SchedNode& n, const SchedNode** off) {
       return UScan::kOffend;
     case Kind::kCall:
       if (is_sanctioned_recovery(n.name)) return UScan::kStop;
-      if (eng.is_bearing(n.name)) {
+      if (eng.bearing.contains(n.name)) {
         *off = &n;
         return UScan::kOffend;
       }
@@ -746,6 +708,9 @@ struct RuleVisitor {
   Engine* eng = nullptr;
   const FnSched* fs = nullptr;
   std::vector<Finding>* findings = nullptr;
+  // The enclosing sequences of the node being visited, innermost last,
+  // each with the index where its rest (the nodes after this one) starts.
+  std::vector<std::pair<const SchedNode*, std::size_t>> rest;
 
   void emit(std::string_view rule, int line, std::string msg) const {
     findings->push_back(Finding{std::string(rule), fs->unit->path, line,
@@ -785,6 +750,30 @@ struct RuleVisitor {
     }
   }
 
+  // The skipped-tail CC-SCHED-DIV variant: a rank-divergent alt with an
+  // exiting branch skips the rest of every enclosing sequence the exit
+  // leaves — up to the function end for a return, to the end of the loop
+  // body for break/continue.
+  void check_exit(const SchedNode& n) const {
+    unsigned char live = n.exits;
+    if (!n.divergent || live == 0) return;
+    std::vector<std::string> tail;
+    for (auto it = rest.rbegin(); it != rest.rend() && live != 0; ++it) {
+      const auto& [seq, from] = *it;
+      for (std::size_t k = from; k < seq->children.size(); ++k) {
+        ops_of_node(*eng, seq->children[k], tail);
+      }
+      live &= seq->exits;
+    }
+    if (tail.empty()) return;
+    std::sort(tail.begin(), tail.end());
+    emit(kRuleSchedDiv, n.line,
+         "rank-dependent early exit skips the subsequent collective "
+         "schedule [" +
+             join_ops(tail) +
+             "]; exiting ranks never reach these collectives");
+  }
+
   void check_loop(const SchedNode& n) const {
     if (!n.divergent) return;
     std::vector<std::string> body;
@@ -814,53 +803,30 @@ struct RuleVisitor {
     }
   }
 
-  // kSeq iteration also handles the skipped-tail CC-SCHED-DIV variant:
-  // a rank-dependent early return makes everything after the alt
-  // single-sided.
-  void visit_seq(const SchedNode& seq) const {
-    for (std::size_t j = 0; j < seq.children.size(); ++j) {
-      const SchedNode& c = seq.children[j];
-      visit(c);
-      if (c.kind != Kind::kAlt || !c.divergent) continue;
-      const bool exits = std::any_of(c.branch_exits.begin(),
-                                     c.branch_exits.end(),
-                                     [](unsigned char x) { return x != 0; });
-      if (!exits) continue;
-      std::vector<std::string> tail;
-      for (std::size_t k = j + 1; k < seq.children.size(); ++k) {
-        ops_of_node(*eng, seq.children[k], tail);
-      }
-      if (tail.empty()) continue;
-      std::sort(tail.begin(), tail.end());
-      emit(kRuleSchedDiv, c.line,
-           "rank-dependent early return skips the subsequent collective "
-           "schedule [" +
-               join_ops(tail) +
-               "]; returning ranks never reach these collectives");
-    }
-  }
-
-  void visit(const SchedNode& n) const {
+  void visit(const SchedNode& n) {
     switch (n.kind) {
       case Kind::kSeq:
-        visit_seq(n);
+        for (std::size_t j = 0; j < n.children.size(); ++j) {
+          rest.emplace_back(&n, j + 1);
+          visit(n.children[j]);
+          rest.pop_back();
+        }
         return;
       case Kind::kAlt:
         check_alt(n);
-        for (const SchedNode& c : n.children) visit(c);
-        return;
+        check_exit(n);
+        break;
       case Kind::kLoop:
         check_loop(n);
-        for (const SchedNode& c : n.children) visit(c);
-        return;
+        break;
       case Kind::kTry:
         check_try(n);
-        for (const SchedNode& c : n.children) visit(c);
-        return;
+        break;
       case Kind::kOp:
       case Kind::kCall:
         return;
     }
+    for (const SchedNode& c : n.children) visit(c);
   }
 };
 
@@ -870,7 +836,7 @@ void run_schedule_rules(const std::vector<FileUnit>& files,
                         std::vector<Finding>& findings) {
   Engine eng = build_engine(files);
   for (const FnSched& fs : eng.fns) {
-    RuleVisitor v{&eng, &fs, &findings};
+    RuleVisitor v{&eng, &fs, &findings, {}};
     v.visit(fs.root);
   }
 }
@@ -885,14 +851,9 @@ void run_fiber_rules(const SharedModel& m, std::vector<Finding>& findings) {
   static const std::unordered_set<std::string> kSleepCalls = {
       "sleep_for", "sleep_until", "sleep", "usleep", "nanosleep"};
 
-  const auto sim_path = [](const FileUnit& u) {
-    const int r = layer_rank(u.component);
-    return r >= 0 && r < 100;
-  };
-
   for (const FnFacts& ff : m.fns) {
     const FileUnit& unit = (*m.files)[ff.file_index];
-    if (!sim_path(unit)) continue;
+    if (!is_sim_component(unit.component)) continue;
     const FunctionInfo& fn = unit.functions[ff.fn_index];
     for (const CallSite& c : fn.calls) {
       if (c.method && kWaitMethods.contains(c.name)) {
@@ -914,7 +875,7 @@ void run_fiber_rules(const SharedModel& m, std::vector<Finding>& findings) {
         continue;
       }
       const bool blocking_comm =
-          sched_is_collective(c) ||
+          is_collective(c) ||
           (c.method && (c.name == "recv_bytes" || c.name == "recv_value"));
       if (blocking_comm) {
         const std::vector<std::string>& held = ff.guards.held_at(c.tok);
@@ -934,7 +895,7 @@ void run_fiber_rules(const SharedModel& m, std::vector<Finding>& findings) {
   // silently aliases state across ranks.
   std::set<std::pair<std::string, int>> seen;
   for (const FileUnit& u : *m.files) {
-    if (!sim_path(u)) continue;
+    if (!is_sim_component(u.component)) continue;
     for (const Token& t : u.lexed.tokens) {
       if (!is_ident(t, "thread_local")) continue;
       if (!seen.emplace(u.path, t.line).second) continue;

@@ -36,9 +36,13 @@ struct SchedNode {
   bool divergent = false;  // kAlt/kLoop: condition / trip count rank-tainted
   bool p2p = false;        // kOp: point-to-point rather than collective
   std::vector<SchedNode> children;
-  // kAlt: per-branch "contains an early return" flag (feeds the
-  // skipped-tail variant of CC-SCHED-DIV).
-  std::vector<unsigned char> branch_exits;
+  // Early exits that leave this subtree (feeds the skipped-tail variant of
+  // CC-SCHED-DIV).  A loop body drops break/continue and a switch segment
+  // drops break: those stop at the loop or switch.
+  static constexpr unsigned char kExitReturn = 1;
+  static constexpr unsigned char kExitBreak = 2;
+  static constexpr unsigned char kExitContinue = 4;
+  unsigned char exits = 0;
   // kTry: the caught type name for children[1..], "..." for ellipsis.
   std::vector<std::string> catch_types;
 };

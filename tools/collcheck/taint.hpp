@@ -1,50 +1,34 @@
-// collcheck rank-taint engine, shared by the per-call divergence rules
-// (analyzer.cpp) and the schedule-automaton pass (schedule.cpp): which
-// variables carry rank-derived values, and which body tokens sit under
-// rank-dependent control flow (including early-return escalation).
+// collcheck rank-taint engine: which variables carry rank-derived values,
+// and which body tokens sit under rank-dependent control flow (including
+// early-exit escalation).  The parser runs it once per function; the
+// schedule pass reads it for divergence bits, the p2p rules for tag
+// divergence.
 #pragma once
 
 #include <cstddef>
-#include <string_view>
+#include <string>
 #include <unordered_set>
-#include <vector>
 
+#include "model.hpp"
 #include "tokutil.hpp"
 
 namespace collcheck {
 
 // Identifiers whose value names "which rank am I" directly.
-[[nodiscard]] const std::unordered_set<std::string>& rank_source_idents();
+[[nodiscard]] const std::unordered_set<std::string>& rank_idents();
 
-struct TaintCtx {
-  const Toks* toks = nullptr;
-  std::unordered_set<std::string> tainted_vars;
-  // Parallel to toks, body span only.  Byte-valued rather than
-  // vector<bool>: the bit-proxy specialization trips GCC's
-  // -Wnull-dereference inside libstdc++ when assign() is inlined.
-  std::vector<unsigned char> tainted_at;
-};
+// Rank taint of the function body [b, e).  Variables assigned from
+// rank-derived expressions are collected first (two passes pick up simple
+// chains: a = comm.rank(); b = a + 1;), then the body is walked marking
+// rank-conditional tokens.  A rank-conditional region that exits early
+// (return, or break/continue inside a loop) makes every later statement
+// of the enclosing scopes divergent too (the classic
+// `if (rank != 0) return; bcast(...)` bug).
+[[nodiscard]] RankTaint rank_taint(const Toks& toks, std::size_t b,
+                                   std::size_t e);
 
 // Does the token span [b, e) mention a rank source or a tainted variable?
-[[nodiscard]] bool span_tainted(const TaintCtx& ctx, std::size_t b,
-                                std::size_t e);
-
-// Collect variables assigned from rank-derived expressions into
-// ctx.tainted_vars.  Two passes pick up simple transitive chains
-// (a = comm.rank(); b = a + 1;).
-void collect_tainted_vars(TaintCtx& ctx, std::size_t b, std::size_t e);
-
-struct WalkExit {
-  bool ret = false;  // rank-conditional return/throw seen
-  bool brk = false;  // rank-conditional break/continue seen
-};
-
-// Walk [b, e) marking rank-conditional tokens in ctx.tainted_at.
-// `tainted` is the inherited divergence of this region; `is_loop_body`
-// scopes break/continue escalation.  A rank-conditional region that exits
-// early (return) makes every subsequent statement in the enclosing scopes
-// divergent too (the classic `if (rank != 0) return; bcast(...)` bug).
-WalkExit walk_region(TaintCtx& ctx, std::size_t b, std::size_t e,
-                     bool tainted, bool is_loop_body);
+[[nodiscard]] bool span_tainted(const Toks& toks, const RankTaint& taint,
+                                std::size_t b, std::size_t e);
 
 }  // namespace collcheck

@@ -23,6 +23,15 @@ inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   return t.kind == TokKind::kIdent && t.text == s;
 }
 
+// Does the token span [b, e) name the identifier `word`?
+[[nodiscard]] inline bool span_mentions(const Toks& toks, std::size_t b,
+                                        std::size_t e, std::string_view word) {
+  for (std::size_t i = b; i < e && i < toks.size(); ++i) {
+    if (is_ident(toks[i], word)) return true;
+  }
+  return false;
+}
+
 // Index of the token matching the opener at `open` ("(", "{", "["), or
 // toks.size() when unbalanced.
 [[nodiscard]] inline std::size_t match_bracket(const Toks& toks,
