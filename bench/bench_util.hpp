@@ -292,8 +292,10 @@ inline void print_header(const char* title, const char* paper_ref) {
   // stderr (scripts/bench_e2e.sh records them) and stdout stays the same on
   // every host.
   const auto& k = kernels::dispatch();
-  std::fprintf(stderr, "kernels: gf=%s crc32c=%s sha1=%s hmerge=%s\n",
-               k.gf_name, k.crc32c_name, k.sha1_name, k.hmerge_name);
+  std::fprintf(stderr,
+               "kernels: gf=%s crc32c=%s sha1=%s sha1_lanes=%s hmerge=%s\n",
+               k.gf_name, k.crc32c_name, k.sha1_name, k.sha1_lanes_name,
+               k.hmerge_name);
   std::printf("\n================================================================\n");
   std::printf("%s\n", title);
   std::printf("Reproduces: %s\n", paper_ref);

@@ -38,13 +38,13 @@ inline MatrixOut run_matrix(App app, int nranks, int app_iterations,
   MatrixOut out;
   out.cells.resize(cfgs.size());
 
-  // One fresh accounting store per (cell, rank).
-  std::vector<std::vector<chunk::ChunkStore>> stores(cfgs.size());
-  for (auto& per_cell : stores) {
-    per_cell.reserve(static_cast<std::size_t>(nranks));
-    for (int r = 0; r < nranks; ++r) {
-      per_cell.emplace_back(chunk::StoreMode::kAccounting);
-    }
+  // One accounting store per rank, emptied before each cell: no cell reads
+  // its stores after its collect, so each cell starts from empty stores
+  // without keeping the earlier cells' alive.
+  std::vector<chunk::ChunkStore> stores;
+  stores.reserve(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    stores.emplace_back(chunk::StoreMode::kAccounting);
   }
 
   simmpi::RuntimeOptions opts;
@@ -80,8 +80,9 @@ inline MatrixOut run_matrix(App app, int nranks, int app_iterations,
       dump_cfg.rank_shuffle = cfgs[c].rank_shuffle;
       dump_cfg.hash_kind = cfgs[c].hash_kind;
       dump_cfg.payload_exchange = false;
-      core::Dumper dumper(
-          comm, stores[c][static_cast<std::size_t>(comm.rank())], dump_cfg);
+      chunk::ChunkStore& store = stores[static_cast<std::size_t>(comm.rank())];
+      store.clear();
+      core::Dumper dumper(comm, store, dump_cfg);
       const auto stats = dumper.dump_output(snapshot, cfgs[c].k);
       const auto g = core::Dumper::collect(comm, stats);
       if (comm.rank() == 0) {

@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: the
 // dispatched data-plane kernels (GF(256) multiply-accumulate, CRC-32C,
-// SHA-1 compression, CDC chunking), HMERGE, RANK_SHUFFLE, offset
+// SHA-1 compression on one stream and in lanes, CDC chunking), HMERGE, RANK_SHUFFLE, offset
 // calculation, chunking + local dedup, and the serialization archive —
 // the per-call costs that the simtime model's merge_entry_cost_s /
 // chunk_overhead_s constants approximate.
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +79,29 @@ void BM_Sha1Blocks(benchmark::State& state, kernels::Sha1BlocksFn fn) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kKernelBytes));
+}
+
+// 1,024 messages of state.range(0) bytes, contiguous like the chunks of
+// one segment, through a lanes variant one set of lanes per call (whole
+// blocks only: padding is Sha1::digest_many's).
+void BM_Sha1Lanes(benchmark::State& state, kernels::Sha1LanesVariant v) {
+  constexpr std::size_t kMessages = 1024;
+  const auto msg_bytes = static_cast<std::size_t>(state.range(0));
+  const auto buf = random_buffer(kMessages * msg_bytes, 43);
+  std::vector<const std::uint8_t*> ptrs(kMessages);
+  for (std::size_t m = 0; m < kMessages; ++m) {
+    ptrs[m] = buf.data() + m * msg_bytes;
+  }
+  const auto states = std::make_unique<std::uint32_t[][5]>(kMessages);
+  for (auto _ : state) {
+    for (std::size_t m = 0; m < kMessages; m += v.lanes) {
+      v.fn(states.get() + m, ptrs.data() + m, msg_bytes / 64);
+    }
+    benchmark::DoNotOptimize(states.get());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kMessages * msg_bytes));
 }
 
 void BM_CdcChunking(benchmark::State& state, bool skip_ahead) {
@@ -155,6 +179,14 @@ void register_kernel_benches() {
     if (!v.available) continue;
     benchmark::RegisterBenchmark(("sha1_blocks/" + std::string(v.name)).c_str(),
                                  BM_Sha1Blocks, v.fn)
+        ->MinWarmUpTime(kWarmupSeconds);
+  }
+  for (const auto& v : kernels::sha1_lanes_variants()) {
+    if (!v.available) continue;
+    benchmark::RegisterBenchmark(("sha1_lanes/" + std::string(v.name)).c_str(),
+                                 BM_Sha1Lanes, v)
+        ->Arg(512)
+        ->Arg(4096)
         ->MinWarmUpTime(kWarmupSeconds);
   }
   benchmark::RegisterBenchmark("cdc_chunking/reference", BM_CdcChunking, false)

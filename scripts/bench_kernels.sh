@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Kernel throughput gate: builds the Release bench binaries, measures every
-# data-plane kernel variant (median of N repetitions, GB/s) plus the
+# data-plane kernel variant (median of N repetitions, GB/s; SHA-1 lanes
+# over 512-B and 4-KiB messages) plus the
 # flat fingerprint-set merge/serialization throughput (entries/s), times
 # the fig3b end-to-end bench twice — once with COLLREP_KERNELS=scalar
 # (the pre-dispatch baseline) and once with the dispatched kernels — and
@@ -23,7 +24,7 @@ cmake --build "$build" -j --target micro_primitives fig3b_reduction_overhead_hpc
 
 echo "== kernel micro-benchmarks (median of $reps) =="
 "$build/bench/micro_primitives" \
-  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|cdc_chunking|hmerge_keys|BM_HMerge|BM_FpSetSerialization' \
+  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|sha1_lanes|cdc_chunking|hmerge_keys|BM_HMerge|BM_FpSetSerialization' \
   --benchmark_repetitions="$reps" \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$build/micro_kernels.json"
@@ -116,6 +117,29 @@ if hmerge_rates and "scalar" in hmerge_rates:
                                   for ov in overlaps]), 2),
     }
 
+# SHA-1 lanes: GB/s per variant and message size ("<variant>/<bytes>"),
+# against the dispatched single-stream sha1_blocks rate.  micro_primitives
+# registers the available variants in list order and the dispatcher picks
+# the last available one (kernels/dispatch.cpp), so the last registered
+# variant of each kernel is the dispatched one.
+lanes_rates = {}
+for name, b in medians.items():
+    if name.startswith("sha1_lanes/"):
+        _, variant, size = name.split("/")
+        lanes_rates[f"{variant}/{size}"] = round(b["bytes_per_second"] / 1e9, 3)
+if lanes_rates and "sha1_blocks" in kernels:
+    dispatched = list(lanes_rates)[-1].split("/")[0]
+    single_name = [name.split("/", 1)[1] for name in medians
+                   if name.startswith("sha1_blocks/")][-1]
+    single = kernels["sha1_blocks"]["variants_gbps"][single_name]
+    kernels["sha1_lanes"] = {
+        "variants_gbps": dict(sorted(lanes_rates.items())),
+        "dispatched": dispatched,
+        "single_stream": single_name,
+        "speedup": round(min(v for k, v in lanes_rates.items()
+                             if k.startswith(dispatched + "/")) / single, 2),
+    }
+
 def items(prefix):
     return {
         name.split("/", 1)[1]: round(b["items_per_second"] / 1e6, 3)
@@ -144,6 +168,10 @@ with open(out_path, "w") as f:
 
 print(f"wrote {out_path}")
 for kernel, info in kernels.items():
+    if kernel == "sha1_lanes":
+        print(f"  {kernel}: {info['dispatched']} {info['speedup']}x over "
+              f"single-stream {info['single_stream']}")
+        continue
     print(f"  {kernel}: {info['best']} {info['speedup']}x over {info['baseline']}")
 print(f"  fig3b: {result['fig3b']['speedup']}x")
 
@@ -162,4 +190,18 @@ if "hmerge" in kernels and len(hmerge_rates) > 1:
               f"(COLLREP_HMERGE_MIN_SPEEDUP)", file=sys.stderr)
         sys.exit(1)
     print(f"  hmerge floor: {got}x >= {floor}x ok")
+
+# Lanes gate: Sha1::digest_many hashes equal-length chunks through the
+# dispatched lanes variant, so that variant must hash each message size at
+# least as fast as the dispatched single stream does a bulk buffer.  The
+# one-lane scalar reference is exempt: with it dispatched, digest_many
+# takes the single-stream path.
+lanes = kernels.get("sha1_lanes")
+if lanes and lanes["dispatched"] != "scalar":
+    if lanes["speedup"] < 1.0:
+        print(f"FAIL: sha1_lanes {lanes['dispatched']} is slower than "
+              f"single-stream {lanes['single_stream']} "
+              f"({lanes['speedup']}x)", file=sys.stderr)
+        sys.exit(1)
+    print(f"  sha1_lanes gate: {lanes['speedup']}x >= 1.0x ok")
 PY

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "chunk/dataset.hpp"
@@ -18,31 +17,13 @@ struct LocalDedupResult {
   // Chunk index of the first occurrence of each unique fingerprint, in
   // order of first appearance.
   std::vector<std::uint32_t> unique_chunks;
-  // fp -> index into unique_chunks.
-  std::unordered_map<hash::Fingerprint, std::uint32_t, hash::FingerprintHash>
-      index_of;
   std::uint64_t unique_bytes = 0;
   std::uint64_t total_bytes = 0;
 };
 
-[[nodiscard]] inline LocalDedupResult local_dedup(
-    const chunk::Chunker& chunker, const hash::ChunkHasher& hasher) {
-  LocalDedupResult out;
-  out.chunk_fps.reserve(chunker.count());
-  out.index_of.reserve(chunker.count());
-  for (std::size_t i = 0; i < chunker.count(); ++i) {
-    const auto bytes = chunker.bytes(i);
-    const auto fp = hasher.fingerprint(bytes);
-    out.chunk_fps.push_back(fp);
-    out.total_bytes += bytes.size();
-    const auto [it, inserted] = out.index_of.try_emplace(
-        fp, static_cast<std::uint32_t>(out.unique_chunks.size()));
-    if (inserted) {
-      out.unique_chunks.push_back(static_cast<std::uint32_t>(i));
-      out.unique_bytes += bytes.size();
-    }
-  }
-  return out;
-}
+// Fingerprints every chunk in one ChunkHasher::fingerprint_many call, then
+// keeps each fingerprint's first occurrence.
+[[nodiscard]] LocalDedupResult local_dedup(const chunk::Chunker& chunker,
+                                           const hash::ChunkHasher& hasher);
 
 }  // namespace collrep::core

@@ -38,10 +38,13 @@ std::span<std::uint8_t> TrackedArena::allocate(std::size_t bytes) {
     }
   }
 
-  // New block (oversized allocations get a dedicated block).
+  // New block (oversized allocations get a dedicated block).  Left
+  // uninitialized: carve() zeroes each page as it hands it out, so a rank
+  // faults in only the pages it uses, not the whole block.
   const std::size_t new_pages = std::max(pages, block_pages_);
   Block block;
-  block.storage = std::make_unique<std::uint8_t[]>(new_pages * page_bytes_);
+  block.storage =
+      std::make_unique_for_overwrite<std::uint8_t[]>(new_pages * page_bytes_);
   block.used.assign(new_pages, false);
   blocks_.push_back(std::move(block));
   return carve(blocks_.back(), 0, pages);

@@ -31,6 +31,14 @@ HashKind parse_hash_kind(std::string_view name) {
   throw std::invalid_argument("unknown hash kind: " + std::string(name));
 }
 
+void ChunkHasher::fingerprint_many(
+    std::span<const std::span<const std::uint8_t>> chunks,
+    std::span<Fingerprint> out) const {
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    out[i] = fingerprint(chunks[i]);
+  }
+}
+
 namespace {
 
 class Sha1Hasher final : public ChunkHasher {
@@ -38,6 +46,10 @@ class Sha1Hasher final : public ChunkHasher {
   Fingerprint fingerprint(std::span<const std::uint8_t> chunk) const override {
     const auto digest = Sha1::digest(chunk);
     return Fingerprint{std::span<const std::uint8_t>{digest}};
+  }
+  void fingerprint_many(std::span<const std::span<const std::uint8_t>> chunks,
+                        std::span<Fingerprint> out) const override {
+    Sha1::digest_many(chunks, out);
   }
   HashKind kind() const noexcept override { return HashKind::kSha1; }
   double modeled_bytes_per_second() const noexcept override { return 300e6; }

@@ -32,6 +32,12 @@ class ChunkHasher {
 
   [[nodiscard]] virtual Fingerprint fingerprint(
       std::span<const std::uint8_t> chunk) const = 0;
+  // out[i] = fingerprint(chunks[i]) for every i; out.size() must equal
+  // chunks.size().  The default is that per-chunk loop; SHA-1 hashes
+  // equal-length chunks in SIMD lanes (Sha1::digest_many).
+  virtual void fingerprint_many(
+      std::span<const std::span<const std::uint8_t>> chunks,
+      std::span<Fingerprint> out) const;
   [[nodiscard]] virtual HashKind kind() const noexcept = 0;
   // Approximate hashing throughput in bytes/second on the paper's testbed
   // CPU (Xeon X5670); consumed by the simtime cost model.

@@ -1,14 +1,17 @@
 // SHA-1 (RFC 3174).  Self-contained implementation used as the default
 // crypto-grade fingerprint function, mirroring the paper's use of OpenSSL
-// SHA1.  Supports both one-shot and streaming use.  The compression
+// SHA1.  Supports one-shot, streaming and batched use.  The compression
 // function dispatches through src/kernels (SHA-NI or block-pipelined
-// scalar, COLLREP_KERNELS=scalar forces the reference rounds loop).
+// scalar for one stream, SIMD lanes for a batch; COLLREP_KERNELS=scalar
+// forces the reference rounds loop).
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+
+#include "hash/fingerprint.hpp"
 
 namespace collrep::hash {
 
@@ -27,6 +30,13 @@ class Sha1 {
 
   static std::array<std::uint8_t, kDigestBytes> digest(
       std::span<const std::uint8_t> data) noexcept;
+
+  // out[i] = digest(msgs[i]) for every i; out.size() must equal
+  // msgs.size().  Equal-length messages go through the dispatched lanes
+  // kernel a full set of lanes at a time, padding blocks included; the
+  // rest take the single-stream path of digest().
+  static void digest_many(std::span<const std::span<const std::uint8_t>> msgs,
+                          std::span<Fingerprint> out) noexcept;
 
  private:
   std::array<std::uint32_t, 5> state_{};

@@ -60,6 +60,7 @@ Dispatch resolve() noexcept {
   const auto gf = gf_variants();
   const auto crc = crc32c_variants();
   const auto sha = sha1_variants();
+  const auto lanes = sha1_lanes_variants();
   const auto hm = hmerge_variants();
 
   const auto pick = [force_scalar](const auto& variants) -> std::size_t {
@@ -83,6 +84,11 @@ Dispatch resolve() noexcept {
   const auto& s = sha[pick(sha)];
   d.sha1_blocks = s.fn;
   d.sha1_name = s.name;
+
+  const auto& l = lanes[pick(lanes)];
+  d.sha1_lanes = l.fn;
+  d.sha1_lanes_width = l.lanes;
+  d.sha1_lanes_name = l.name;
 
   const auto& h = hm[pick(hm)];
   d.hmerge = h.fn;

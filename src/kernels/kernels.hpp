@@ -2,7 +2,8 @@
 //
 // Every byte a dump moves passes through a handful of byte-bashing loops:
 // GF(256) multiply-accumulate (Reed-Solomon encode/decode), CRC-32C, and
-// the SHA-1 compression function.  Each kernel ships as a list of
+// the SHA-1 compression function (one stream, or many equal-length
+// messages in SIMD lanes).  Each kernel ships as a list of
 // *variants* — index 0 is the portable scalar reference, higher indices
 // are SIMD implementations gated on CPU features probed once via CPUID —
 // and the pipeline calls through a function pointer resolved exactly once
@@ -53,6 +54,14 @@ using Crc32cFn = std::uint32_t (*)(std::uint32_t crc, const std::uint8_t* data,
 // blocks (block-pipelined: one call per update, not per block).
 using Sha1BlocksFn = void (*)(std::uint32_t state[5],
                               const std::uint8_t* blocks, std::size_t nblocks);
+// SHA-1 over independent messages in SIMD lanes: runs the compression
+// function over `nblocks` 64-byte blocks of each of the variant's `lanes`
+// messages, lane i from states[i] over msgs[i][0, 64 * nblocks).  The
+// pointers need no alignment and may be null when nblocks is 0.
+inline constexpr std::size_t kMaxSha1Lanes = 16;
+using Sha1LanesFn = void (*)(std::uint32_t (*states)[5],
+                             const std::uint8_t* const* msgs,
+                             std::size_t nblocks);
 
 // HMERGE: set-merge planning over two strictly-ascending u64 key arrays.
 //
@@ -97,6 +106,13 @@ struct Sha1Variant {
   Sha1BlocksFn fn;
 };
 
+struct Sha1LanesVariant {
+  const char* name;   // "scalar", "avx512"
+  bool available;
+  std::size_t lanes;  // messages per call; the scalar reference runs one
+  Sha1LanesFn fn;
+};
+
 struct HmergeVariant {
   const char* name;  // "scalar", "avx2", "avx512"
   bool available;
@@ -108,6 +124,7 @@ struct HmergeVariant {
 [[nodiscard]] std::span<const GfVariant> gf_variants() noexcept;
 [[nodiscard]] std::span<const Crc32cVariant> crc32c_variants() noexcept;
 [[nodiscard]] std::span<const Sha1Variant> sha1_variants() noexcept;
+[[nodiscard]] std::span<const Sha1LanesVariant> sha1_lanes_variants() noexcept;
 [[nodiscard]] std::span<const HmergeVariant> hmerge_variants() noexcept;
 
 // The active kernel set: best available variant per kernel, or the scalar
@@ -118,10 +135,13 @@ struct Dispatch {
   GfMulFn gf_mul;
   Crc32cFn crc32c;
   Sha1BlocksFn sha1_blocks;
+  Sha1LanesFn sha1_lanes;
+  std::size_t sha1_lanes_width;  // 1: no SIMD lanes, hash one stream
   HmergeFn hmerge;
   const char* gf_name;
   const char* crc32c_name;
   const char* sha1_name;
+  const char* sha1_lanes_name;
   const char* hmerge_name;
 };
 

@@ -11,6 +11,13 @@
 // All variants process `nblocks` consecutive 64-byte blocks per call so
 // streaming updates pay the dispatch indirection once per update, not
 // once per block.
+//
+// The lanes family hashes independent messages side by side, one per
+// SIMD lane; SHA-NI is latency-bound on one stream, so lanes are how
+// equal-length chunks go faster than one stream:
+//  * "scalar" — the reference: one lane, sha1_blocks_scalar itself.
+//  * "avx512" — 16 lanes: message words gathered from the 16 message
+//    pointers, rotates with VPROLD, round functions with VPTERNLOGD.
 #include "kernels/kernels.hpp"
 
 #include <bit>
@@ -425,6 +432,131 @@ __attribute__((target("sha,ssse3,sse4.1"))) void sha1_blocks_shani(
 
 #endif  // COLLREP_KERNELS_SHA_X86
 
+// -- lanes --------------------------------------------------------------------
+
+void sha1_lanes_scalar(std::uint32_t (*states)[5],
+                       const std::uint8_t* const* msgs,
+                       std::size_t nblocks) noexcept {
+  sha1_blocks_scalar(states[0], msgs[0], nblocks);
+}
+
+#ifdef COLLREP_KERNELS_SHA_X86
+
+// State and message words are transposed: vector j holds word j of all 16
+// lanes.  Word t of a block is gathered from the 16 lane pointers (eight
+// per 64-bit-index gather, indices relative to lane 0's pointer) and
+// byte-swapped; the 80 rounds are the pipelined variant's, on vectors.
+//
+// GCC 12 flags the undefined pass-through operand of the unmasked gather,
+// insert and rotate intrinsics (-Wmaybe-uninitialized); their masked forms
+// with a full mask compile to the same instructions.
+#define COLLREP_ROL16(x, s) _mm512_maskz_rol_epi32(0xFFFF, (x), (s))
+
+__attribute__((target("avx512f,avx512bw"))) void sha1_lanes_avx512(
+    std::uint32_t (*states)[5], const std::uint8_t* const* msgs,
+    std::size_t nblocks) noexcept {
+  constexpr int kLanes = 16;
+  alignas(64) std::uint32_t words[5][kLanes];
+  for (int l = 0; l < kLanes; ++l) {
+    for (int j = 0; j < 5; ++j) words[j][l] = states[l][j];
+  }
+  __m512i a = _mm512_load_si512(words[0]);
+  __m512i b = _mm512_load_si512(words[1]);
+  __m512i c = _mm512_load_si512(words[2]);
+  __m512i d = _mm512_load_si512(words[3]);
+  __m512i e = _mm512_load_si512(words[4]);
+
+  alignas(64) std::int64_t rel[kLanes];
+  const auto base = reinterpret_cast<std::uintptr_t>(msgs[0]);
+  for (int l = 0; l < kLanes; ++l) {
+    rel[l] = static_cast<std::int64_t>(
+        reinterpret_cast<std::uintptr_t>(msgs[l]) - base);
+  }
+  const __m512i rel_lo = _mm512_load_si512(rel);
+  const __m512i rel_hi = _mm512_load_si512(rel + 8);
+  const __m512i bswap = _mm512_set4_epi32(0x0C0D0E0F, 0x08090A0B, 0x04050607,
+                                          0x00010203);
+  const __m512i k0 = _mm512_set1_epi32(0x5A827999);
+  const __m512i k1 = _mm512_set1_epi32(0x6ED9EBA1);
+  const __m512i k2 = _mm512_set1_epi32(static_cast<int>(0x8F1BBCDCu));
+  const __m512i k3 = _mm512_set1_epi32(static_cast<int>(0xCA62C1D6u));
+  const __m256i zero = _mm256_setzero_si256();
+
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    const std::uint8_t* p = msgs[0] + blk * 64;
+    __m512i w[16];
+#pragma GCC unroll 16
+    for (int t = 0; t < 16; ++t) {
+      const __m256i lo =
+          _mm512_mask_i64gather_epi32(zero, 0xFF, rel_lo, p + 4 * t, 1);
+      const __m256i hi =
+          _mm512_mask_i64gather_epi32(zero, 0xFF, rel_hi, p + 4 * t, 1);
+      w[t] = _mm512_shuffle_epi8(
+          _mm512_maskz_inserti64x4(0xFF, _mm512_castsi256_si512(lo), hi, 1),
+          bswap);
+    }
+    const __m512i sa = a;
+    const __m512i sb = b;
+    const __m512i sc = c;
+    const __m512i sd = d;
+    const __m512i se = e;
+#pragma GCC unroll 80
+    for (int t = 0; t < 80; ++t) {
+      if (t >= 16) {
+        // 0x96 = x ^ y ^ z.
+        w[t & 15] = COLLREP_ROL16(
+            _mm512_xor_si512(
+                _mm512_ternarylogic_epi32(w[(t + 13) & 15], w[(t + 8) & 15],
+                                          w[(t + 2) & 15], 0x96),
+                w[t & 15]),
+            1);
+      }
+      // 0xCA = b ? c : d (choose), 0x96 = parity, 0xE8 = majority.
+      __m512i f;
+      __m512i k;
+      if (t < 20) {
+        f = _mm512_ternarylogic_epi32(b, c, d, 0xCA);
+        k = k0;
+      } else if (t < 40) {
+        f = _mm512_ternarylogic_epi32(b, c, d, 0x96);
+        k = k1;
+      } else if (t < 60) {
+        f = _mm512_ternarylogic_epi32(b, c, d, 0xE8);
+        k = k2;
+      } else {
+        f = _mm512_ternarylogic_epi32(b, c, d, 0x96);
+        k = k3;
+      }
+      const __m512i tmp = _mm512_add_epi32(
+          _mm512_add_epi32(COLLREP_ROL16(a, 5), f),
+          _mm512_add_epi32(_mm512_add_epi32(e, k), w[t & 15]));
+      e = d;
+      d = c;
+      c = COLLREP_ROL16(b, 30);
+      b = a;
+      a = tmp;
+    }
+    a = _mm512_add_epi32(a, sa);
+    b = _mm512_add_epi32(b, sb);
+    c = _mm512_add_epi32(c, sc);
+    d = _mm512_add_epi32(d, sd);
+    e = _mm512_add_epi32(e, se);
+  }
+
+  _mm512_store_si512(words[0], a);
+  _mm512_store_si512(words[1], b);
+  _mm512_store_si512(words[2], c);
+  _mm512_store_si512(words[3], d);
+  _mm512_store_si512(words[4], e);
+  for (int l = 0; l < kLanes; ++l) {
+    for (int j = 0; j < 5; ++j) states[l][j] = words[j][l];
+  }
+}
+
+#undef COLLREP_ROL16
+
+#endif  // COLLREP_KERNELS_SHA_X86
+
 }  // namespace
 
 std::span<const Sha1Variant> sha1_variants() noexcept {
@@ -433,6 +565,16 @@ std::span<const Sha1Variant> sha1_variants() noexcept {
       {"pipelined", true, &sha1_blocks_pipelined},
 #ifdef COLLREP_KERNELS_SHA_X86
       {"shani", cpu_features().sha_ni, &sha1_blocks_shani},
+#endif
+  };
+  return variants;
+}
+
+std::span<const Sha1LanesVariant> sha1_lanes_variants() noexcept {
+  static const Sha1LanesVariant variants[] = {
+      {"scalar", true, 1, &sha1_lanes_scalar},
+#ifdef COLLREP_KERNELS_SHA_X86
+      {"avx512", cpu_features().avx512, 16, &sha1_lanes_avx512},
 #endif
   };
   return variants;

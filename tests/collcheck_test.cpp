@@ -92,6 +92,11 @@ TEST(Collcheck, ScheduleDivergenceFamily) {
       // bad_loop.cpp: rank-dependent trip counts around collectives.
       {"CC-SCHED-LOOP", std::string(kFx) + "sched/bad_loop.cpp", 10},
       {"CC-SCHED-LOOP", std::string(kFx) + "sched/bad_loop.cpp", 17},
+      // bad_header.cpp: a collective in the condition of a rank-guarded
+      // loop diverges at the guard and runs a rank-dependent number of
+      // times.
+      {"CC-SCHED-DIV", std::string(kFx) + "sched/bad_header.cpp", 13},
+      {"CC-SCHED-LOOP", std::string(kFx) + "sched/bad_header.cpp", 14},
       // bad_unwind.cpp: collectives on the RankDeadError unwind path,
       // direct and behind a helper.
       {"CC-SCHED-UNWIND", std::string(kFx) + "sched/bad_unwind.cpp", 14},
@@ -100,8 +105,9 @@ TEST(Collcheck, ScheduleDivergenceFamily) {
   EXPECT_EQ(keys(result), expected);
   // clean.cpp (config alternation, schedule-equal arms, rank-guarded p2p,
   // order-equal helpers behind different names, invariant loops, exits
-  // that stop at their loop or switch, sanctioned recovery handler) must
-  // contribute nothing — exact-set match above.
+  // that stop at their loop or switch, collectives in headers every rank
+  // evaluates, sanctioned recovery handler) must contribute nothing —
+  // exact-set match above.
 }
 
 TEST(Collcheck, FiberReadinessFamily) {

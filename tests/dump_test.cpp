@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <random>
+#include <string>
 #include <tuple>
 
 #include "apps/synth.hpp"
+#include "core/local_dedup.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -362,6 +366,90 @@ TEST(DumpToggles, AvoidanceEnforcesDistinctReplicaHolders) {
   cfg.avoid_designated_targets = true;
   auto run = run_dump(kRanks, kK, cfg, gen);
   EXPECT_GE(min_replica_count(run), static_cast<std::size_t>(kK));
+}
+
+// ---- phase 1: local dedup against a std::map oracle ------------------------
+
+// Every chunk's fingerprint, the first occurrences in buffer order and the
+// byte counts, as a std::map keyed by fingerprint computes them one chunk
+// at a time.
+void expect_local_dedup_matches_oracle(const chunk::Dataset& ds,
+                                       std::size_t chunk_bytes,
+                                       hash::HashKind kind,
+                                       const std::string& what) {
+  const chunk::Chunker chunker(ds, chunk_bytes);
+  const auto& hasher = hash::hasher_for(kind);
+  const core::LocalDedupResult got = core::local_dedup(chunker, hasher);
+
+  std::map<hash::Fingerprint, std::uint32_t> first;
+  std::vector<hash::Fingerprint> fps;
+  std::vector<std::uint32_t> unique;
+  std::uint64_t unique_bytes = 0;
+  std::uint64_t total_bytes = 0;
+  for (std::size_t i = 0; i < chunker.count(); ++i) {
+    const auto bytes = chunker.bytes(i);
+    fps.push_back(hasher.fingerprint(bytes));
+    total_bytes += bytes.size();
+    if (first.emplace(fps.back(), static_cast<std::uint32_t>(i)).second) {
+      unique.push_back(static_cast<std::uint32_t>(i));
+      unique_bytes += bytes.size();
+    }
+  }
+  const std::string label = what + " " + std::string(hash::to_string(kind));
+  EXPECT_EQ(got.chunk_fps, fps) << label;
+  EXPECT_EQ(got.unique_chunks, unique) << label;
+  EXPECT_EQ(got.unique_bytes, unique_bytes) << label;
+  EXPECT_EQ(got.total_bytes, total_bytes) << label;
+}
+
+TEST(LocalDedup, MatchesMapOracle) {
+  constexpr std::size_t kChunk = 512;
+  std::mt19937_64 rng(0x10CA1DED);
+  const auto random_page = [&] {
+    std::vector<std::uint8_t> p(kChunk);
+    for (auto& b : p) b = static_cast<std::uint8_t>(rng());
+    return p;
+  };
+  // Repeats: 70 chunks drawn from 23 distinct pages.
+  std::vector<std::vector<std::uint8_t>> pool;
+  for (int i = 0; i < 23; ++i) pool.push_back(random_page());
+  std::vector<std::uint8_t> repeats;
+  for (int i = 0; i < 70; ++i) {
+    const auto& p = pool[rng() % pool.size()];
+    repeats.insert(repeats.end(), p.begin(), p.end());
+  }
+  // A short tail chunk per segment: 37 full chunks plus 200 bytes, twice,
+  // the second segment a copy of the first.
+  std::vector<std::uint8_t> tailed(37 * kChunk + 200);
+  for (auto& b : tailed) b = static_cast<std::uint8_t>(rng() % 4);
+  const std::vector<std::uint8_t> identical(50 * kChunk, 0x5A);
+  std::vector<std::uint8_t> unique_all;
+  for (int i = 0; i < 41; ++i) {
+    const auto p = random_page();
+    unique_all.insert(unique_all.end(), p.begin(), p.end());
+  }
+
+  for (const auto kind : {hash::HashKind::kSha1, hash::HashKind::kXx64}) {
+    chunk::Dataset with_repeats;
+    with_repeats.add_segment(repeats);
+    expect_local_dedup_matches_oracle(with_repeats, kChunk, kind, "repeats");
+
+    chunk::Dataset with_tails;
+    with_tails.add_segment(tailed);
+    with_tails.add_segment(tailed);
+    expect_local_dedup_matches_oracle(with_tails, kChunk, kind, "tails");
+
+    chunk::Dataset all_identical;
+    all_identical.add_segment(identical);
+    expect_local_dedup_matches_oracle(all_identical, kChunk, kind,
+                                      "identical");
+
+    chunk::Dataset all_unique;
+    all_unique.add_segment(unique_all);
+    expect_local_dedup_matches_oracle(all_unique, kChunk, kind, "unique");
+
+    expect_local_dedup_matches_oracle(chunk::Dataset{}, kChunk, kind, "empty");
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -269,6 +270,92 @@ TEST(Sha1, MatchesReferenceDigestsOfBytePattern) {
   }
 }
 
+// digest_many against digest(): every padding shape, alone and in
+// batches that fill the SIMD lanes exactly, leave a remainder, or mix
+// lengths (more distinct lengths than digest_many keeps lane groups for).
+TEST(Sha1, DigestManyMatchesDigest) {
+  const std::size_t kLengths[] = {0,   1,   55,  56,  63,   64,
+                                  65,  119, 120, 512, 4095, 4096};
+  const std::size_t kBatches[] = {1, 7, 15, 16, 17, 33, 100};
+  std::uint64_t seed = 0x9E3779B97F4A7C15ull;
+  const auto message = [&](std::size_t len) {
+    std::vector<std::uint8_t> m(len);
+    for (auto& b : m) {
+      seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+      b = static_cast<std::uint8_t>(seed >> 56);
+    }
+    return m;
+  };
+  const auto check = [](const std::vector<std::vector<std::uint8_t>>& batch,
+                        const std::string& what) {
+    std::vector<std::span<const std::uint8_t>> views(batch.begin(),
+                                                     batch.end());
+    std::vector<Fingerprint> got(batch.size());
+    Sha1::digest_many(views, got);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const auto want = Sha1::digest(batch[i]);
+      EXPECT_EQ(got[i], Fingerprint{std::span<const std::uint8_t>{want}})
+          << what << " message=" << i << " len=" << batch[i].size();
+    }
+  };
+  for (const std::size_t n : kBatches) {
+    for (const std::size_t len : kLengths) {
+      std::vector<std::vector<std::uint8_t>> batch;
+      for (std::size_t i = 0; i < n; ++i) batch.push_back(message(len));
+      check(batch, "equal len=" + std::to_string(len) +
+                       " batch=" + std::to_string(n));
+    }
+    std::vector<std::vector<std::uint8_t>> mixed;
+    for (std::size_t i = 0; i < n; ++i) {
+      mixed.push_back(message(kLengths[i % std::size(kLengths)]));
+    }
+    check(mixed, "interleaved batch=" + std::to_string(n));
+  }
+}
+
+// digest_many on the byte pattern of MatchesReferenceDigestsOfBytePattern,
+// against digests computed with Python's hashlib.sha1: 17 copies of each
+// length, alternating with a 512-byte message, so every length fills a
+// set of lanes and leaves one over.
+TEST(Sha1, DigestManyMatchesReferenceDigests) {
+  struct Vector {
+    std::size_t len;
+    const char* hex;
+  };
+  static constexpr Vector kVectors[] = {
+      {0, "da39a3ee5e6b4b0d3255bfef95601890afd80709"},
+      {55, "c4622048cfef59b72875839ee7ae1cbcf55e7658"},
+      {56, "ddc12942656468475970fa4fa49161f52ed138e4"},
+      {64, "a334b47180c61fd522f99905ec02c36f9e848211"},
+      {119, "bea949473b1ec34747ce121c3293624b5d9d8f84"},
+      {4095, "27864c45709dcaf6588c97ece8fa8e9b3403764f"},
+      {4096, "c4a4f8cb5d332af2c2c970d28d45e66d22b12b82"},
+  };
+  const auto pattern = [](std::size_t len) {
+    std::vector<std::uint8_t> data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    return data;
+  };
+  const auto other = pattern(512);
+  const std::string other_hex = "f3042998a20f9db0d9e64f95131a576d6031f7f0";
+  for (const Vector& v : kVectors) {
+    const auto data = pattern(v.len);
+    std::vector<std::span<const std::uint8_t>> views;
+    for (int i = 0; i < 17; ++i) {
+      views.emplace_back(data);
+      views.emplace_back(other);
+    }
+    std::vector<Fingerprint> got(views.size());
+    Sha1::digest_many(views, got);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].hex(), i % 2 == 0 ? std::string(v.hex) : other_hex)
+          << "len=" << v.len << " message=" << i;
+    }
+  }
+}
+
 // -- XXH64 -------------------------------------------------------------------
 
 TEST(Xx64, PublishedVectors) {
@@ -393,6 +480,26 @@ TEST(HashRegistry, Sha1HasherMatchesRawSha1) {
   const auto digest = Sha1::digest(data);
   EXPECT_EQ(hasher_for(HashKind::kSha1).fingerprint(data),
             Fingerprint{std::span<const std::uint8_t>{digest}});
+}
+
+TEST(HashRegistry, FingerprintManyMatchesFingerprint) {
+  std::vector<std::vector<std::uint8_t>> chunks;
+  for (std::size_t i = 0; i < 40; ++i) {
+    chunks.emplace_back(i % 5 == 4 ? 100 : 512,
+                        static_cast<std::uint8_t>(i * 13));
+  }
+  const std::vector<std::span<const std::uint8_t>> views(chunks.begin(),
+                                                         chunks.end());
+  for (const auto kind : {HashKind::kSha1, HashKind::kXx64, HashKind::kFnv64,
+                          HashKind::kCrc32c}) {
+    const auto& hasher = hasher_for(kind);
+    std::vector<Fingerprint> got(views.size());
+    hasher.fingerprint_many(views, got);
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      EXPECT_EQ(got[i], hasher.fingerprint(views[i]))
+          << to_string(kind) << " chunk=" << i;
+    }
+  }
 }
 
 TEST(HashRegistry, DifferentKindsDisagree) {

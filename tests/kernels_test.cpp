@@ -193,6 +193,64 @@ TEST(KernelsSha1, BlockPipeliningMatchesBlockAtATime) {
 }
 
 // ---------------------------------------------------------------------------
+// SHA-1 lanes
+// ---------------------------------------------------------------------------
+
+// Each lanes variant against sha1_blocks_scalar run once per lane, from
+// random initial states.  Lane pointers are distinct and unaligned, either
+// in one allocation each or all in one buffer in descending order (lane
+// 0 last, so the other lanes sit below it).
+TEST(KernelsSha1Lanes, VariantsMatchPerLaneScalarRandomized) {
+  const auto variants = kernels::sha1_lanes_variants();
+  ASSERT_FALSE(variants.empty());
+  ASSERT_STREQ(variants[0].name, "scalar");
+  ASSERT_EQ(variants[0].lanes, 1u);
+  const kernels::Sha1BlocksFn reference = kernels::sha1_variants()[0].fn;
+
+  std::mt19937_64 rng(0xC0FFEE06);
+  for (const auto& v : variants) {
+    if (!v.available) continue;
+    ASSERT_GE(v.lanes, 1u);
+    ASSERT_LE(v.lanes, kernels::kMaxSha1Lanes);
+    for (const std::size_t nblocks :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{9},
+          std::size_t{64}}) {
+      for (const bool shared : {false, true}) {
+        const std::size_t stride = nblocks * 64 + 3;
+        std::vector<std::vector<std::uint8_t>> bufs;
+        std::vector<const std::uint8_t*> ptrs(v.lanes);
+        if (shared) {
+          bufs.push_back(random_bytes(rng, v.lanes * stride + 1));
+          for (std::size_t l = 0; l < v.lanes; ++l) {
+            ptrs[l] = bufs[0].data() + (v.lanes - 1 - l) * stride + 1 + l % 3;
+          }
+        } else {
+          for (std::size_t l = 0; l < v.lanes; ++l) {
+            bufs.push_back(random_bytes(rng, stride));
+            ptrs[l] = bufs.back().data() + 1 + l % 3;
+          }
+        }
+        std::uint32_t expect[kernels::kMaxSha1Lanes][5];
+        std::uint32_t got[kernels::kMaxSha1Lanes][5];
+        for (std::size_t l = 0; l < v.lanes; ++l) {
+          for (auto& w : expect[l]) w = static_cast<std::uint32_t>(rng());
+          std::memcpy(got[l], expect[l], sizeof got[l]);
+          reference(expect[l], ptrs[l], nblocks);
+        }
+        v.fn(got, ptrs.data(), nblocks);
+        for (std::size_t l = 0; l < v.lanes; ++l) {
+          for (int i = 0; i < 5; ++i) {
+            EXPECT_EQ(got[l][i], expect[l][i])
+                << v.name << " nblocks=" << nblocks << " shared=" << shared
+                << " lane=" << l << " word=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // CDC skip-ahead
 // ---------------------------------------------------------------------------
 
@@ -773,6 +831,7 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   ASSERT_NE(d.gf_mul, nullptr);
   ASSERT_NE(d.crc32c, nullptr);
   ASSERT_NE(d.sha1_blocks, nullptr);
+  ASSERT_NE(d.sha1_lanes, nullptr);
   ASSERT_NE(d.hmerge, nullptr);
   // The dispatched names must correspond to available variants.
   bool gf_ok = false, crc_ok = false, sha_ok = false, hm_ok = false;
@@ -787,12 +846,20 @@ TEST(KernelsDispatch, ActiveVariantsAreAvailable) {
   for (const auto& v : kernels::sha1_variants()) {
     if (v.available && std::string_view(v.name) == d.sha1_name) sha_ok = true;
   }
+  bool lanes_ok = false;
+  for (const auto& v : kernels::sha1_lanes_variants()) {
+    if (v.available && std::string_view(v.name) == d.sha1_lanes_name &&
+        v.lanes == d.sha1_lanes_width) {
+      lanes_ok = true;
+    }
+  }
   for (const auto& v : kernels::hmerge_variants()) {
     if (v.available && std::string_view(v.name) == d.hmerge_name) hm_ok = true;
   }
   EXPECT_TRUE(gf_ok) << d.gf_name;
   EXPECT_TRUE(crc_ok) << d.crc32c_name;
   EXPECT_TRUE(sha_ok) << d.sha1_name;
+  EXPECT_TRUE(lanes_ok) << d.sha1_lanes_name;
   EXPECT_TRUE(hm_ok) << d.hmerge_name;
 }
 

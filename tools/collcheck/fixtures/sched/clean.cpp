@@ -1,8 +1,9 @@
 // Clean negatives for the CC-SCHED family: config-invariant alternation,
 // schedule-equal rank branches, rank-guarded p2p, invariant loops,
 // order-equal helpers behind different names, rank-dependent exits that
-// stop before any collective, and a handler that engages recovery before
-// any collective.  collcheck must report nothing here.
+// stop before any collective, collectives in control-flow headers that
+// every rank evaluates, and a handler that engages recovery before any
+// collective.  collcheck must report nothing here.
 #include "simmpi/collectives.hpp"
 #include "simmpi/comm.hpp"
 
@@ -86,6 +87,26 @@ void exits_stop_at_loop_and_switch(collrep::simmpi::Comm& comm, int rounds) {
       break;
   }
   comm.barrier();
+}
+
+// A collective in a loop condition runs on every trip of every rank: the
+// trip count is agreed by the reduction itself.
+void reduction_decides_trips(collrep::simmpi::Comm& comm, int v) {
+  while (collrep::simmpi::allreduce_sum(comm, v) > 0) --v;
+}
+
+// An `else if` header runs at the head of every arm after its own `if`:
+// rank 0 reduces in its arm, the others in the header, so every path runs
+// allreduce_sum then barrier.
+void else_if_header_evens_the_arms(collrep::simmpi::Comm& comm, int v) {
+  if (comm.rank() == 0) {
+    (void)collrep::simmpi::allreduce_sum(comm, v);
+    comm.barrier();
+  } else if (collrep::simmpi::allreduce_sum(comm, v) > 0) {
+    comm.barrier();
+  } else {
+    comm.barrier();
+  }
 }
 
 // The handler hands control to the failure protocol before any

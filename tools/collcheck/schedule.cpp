@@ -77,29 +77,65 @@ void add_child(SchedNode& parent, SchedNode child) {
   parent.children.push_back(std::move(child));
 }
 
+// Appends the children of sequence `sub` to sequence `seq`.
+void splice(SchedNode& seq, SchedNode sub) {
+  for (SchedNode& c : sub.children) seq.children.push_back(std::move(c));
+  seq.exits |= sub.exits;
+}
+
+// The ops of a control header's expression [b, e), to be placed where
+// the header is evaluated.  An expression cannot leave the function, so
+// the walk's exits are dropped (a `return` there sits in a lambda body).
+SchedNode walk_header(BuildCtx& bc, std::size_t b, std::size_t e) {
+  SchedNode head = walk_span(bc, b, e);
+  head.exits = 0;
+  return head;
+}
+
 // A loop over `body` whose header `kw ... (open ... close)` decides the
-// trip count.  The loop takes its body's break/continue.
+// trip count; `trip` holds the header ops that run on every trip (the
+// condition, a `for` loop's step) and `trip_last` says they follow the
+// body (`do ... while`).  The loop takes its body's break/continue.
 SchedNode loop_node(const BuildCtx& bc, std::size_t kw, std::size_t open,
-                    std::size_t close, SchedNode body) {
+                    std::size_t close, SchedNode body, SchedNode trip,
+                    bool trip_last) {
   SchedNode loop;
   loop.kind = Kind::kLoop;
   loop.line = (*bc.toks)[kw].line;
   loop.divergent = bc.taint->marked(kw) ||
                    span_tainted(*bc.toks, *bc.taint, open + 1, close);
   body.exits &= SchedNode::kExitReturn;
+  if (trip_last) {
+    splice(body, std::move(trip));
+  } else {
+    trip.line = body.line;
+    splice(trip, std::move(body));
+    body = std::move(trip);
+  }
   add_child(loop, std::move(body));
   return loop;
 }
 
 // `if`/`else if`/`else` chain -> one kAlt with a branch per arm plus a
-// trailing empty branch when there is no final `else`.
-SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
-                        std::size_t& resume) {
+// trailing empty branch when there is no final `else`, appended to `seq`
+// after the first header's ops (they run once, before any arm).  An
+// `else if` header runs on every path that reaches it, so its ops head
+// each later arm.  Leaves `resume` at kNpos on a malformed header.
+void walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
+                   std::size_t& resume, SchedNode& seq) {
   const Toks& toks = *bc.toks;
   SchedNode alt;
   alt.kind = Kind::kAlt;
   alt.line = toks[i].line;
   alt.divergent = bc.taint->marked(i);
+  SchedNode first_head;
+  SchedNode heads;  // ops of the `else if` headers tested so far
+  const auto arm = [&](SchedNode body) {
+    SchedNode headed = heads;
+    headed.line = body.line;
+    splice(headed, std::move(body));
+    add_child(alt, std::move(headed));
+  };
   bool has_else = false;
   std::size_t k = i;
   resume = kNpos;
@@ -108,8 +144,13 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
     std::size_t close = 0;
     if (!parse_header(toks, k, e, open, close)) break;
     if (span_tainted(toks, *bc.taint, open + 1, close)) alt.divergent = true;
+    if (k == i) {
+      first_head = walk_header(bc, open + 1, close);
+    } else {
+      splice(heads, walk_header(bc, open + 1, close));
+    }
     std::size_t past = 0;
-    add_child(alt, walk_branch(bc, close + 1, e, past));
+    arm(walk_branch(bc, close + 1, e, past));
     if (past < e && is_ident(toks[past], "else")) {
       const std::size_t eb = past + 1;
       if (eb < e && is_ident(toks[eb], "if")) {
@@ -118,41 +159,46 @@ SchedNode walk_if_chain(BuildCtx& bc, std::size_t i, std::size_t e,
       }
       has_else = true;
       std::size_t epast = 0;
-      add_child(alt, walk_branch(bc, eb, e, epast));
+      arm(walk_branch(bc, eb, e, epast));
       resume = epast;
     } else {
       resume = past;
     }
     break;
   }
-  if (!has_else && !alt.children.empty()) {
+  if (resume == kNpos) return;
+  if (!has_else) {
     SchedNode empty;
     empty.kind = Kind::kSeq;
     empty.line = alt.line;
-    alt.children.push_back(std::move(empty));
+    arm(std::move(empty));
   }
-  return alt;
+  splice(seq, std::move(first_head));
+  add_child(seq, std::move(alt));
 }
 
-// `switch` -> kAlt with one branch per top-level case/default segment.
-// Fallthrough between cases is not modeled (DESIGN.md §15 false
-// negatives); each segment is treated as an independent branch.
-SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
-                      std::size_t& resume) {
+// `switch` -> kAlt with one branch per top-level case/default segment,
+// appended to `seq` after the header's ops (they run once, before any
+// segment).  Fallthrough between cases is not modeled (DESIGN.md §15
+// false negatives); each segment is treated as an independent branch.
+// Leaves `resume` at kNpos on a malformed switch.
+void walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
+                 std::size_t& resume, SchedNode& seq) {
   const Toks& toks = *bc.toks;
   resume = kNpos;
   std::size_t open = 0;
   std::size_t close = 0;
-  if (!parse_header(toks, i, e, open, close)) return {};
+  if (!parse_header(toks, i, e, open, close)) return;
   SchedNode alt;
   alt.kind = Kind::kAlt;
   alt.line = toks[i].line;
   alt.divergent =
       bc.taint->marked(i) || span_tainted(toks, *bc.taint, open + 1, close);
   const std::size_t body_b = close + 1;
-  if (body_b >= e || !is_punct(toks[body_b], "{")) return {};
+  if (body_b >= e || !is_punct(toks[body_b], "{")) return;
   const std::size_t body_e = std::min(match_bracket(toks, body_b), e);
   resume = body_e + 1;
+  splice(seq, walk_header(bc, open + 1, close));
   // Segment boundaries: `case <expr>:` / `default:` at switch-brace depth.
   std::vector<std::size_t> starts;
   int depth = 0;
@@ -191,7 +237,7 @@ SchedNode walk_switch(BuildCtx& bc, std::size_t i, std::size_t e,
     empty.line = alt.line;
     alt.children.push_back(std::move(empty));
   }
-  return alt;
+  add_child(seq, std::move(alt));
 }
 
 // `try { } catch (T) { } ...` -> kTry with the caught type names.  The
@@ -254,14 +300,17 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
   while (i < e) {
     const Token& t = toks[i];
 
-    if (is_ident(t, "if")) {
+    if (is_ident(t, "if") || is_ident(t, "switch")) {
       std::size_t resume = kNpos;
-      SchedNode alt = walk_if_chain(bc, i, e, resume);
+      if (is_ident(t, "if")) {
+        walk_if_chain(bc, i, e, resume, seq);
+      } else {
+        walk_switch(bc, i, e, resume, seq);
+      }
       if (resume == kNpos) {
         ++i;  // malformed header; skip the keyword
         continue;
       }
-      if (!alt.children.empty()) add_child(seq, std::move(alt));
       i = resume;
       continue;
     }
@@ -272,9 +321,20 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
         ++i;
         continue;
       }
+      // `for (init; cond; step)`: init runs once, before the loop; a
+      // range-for's range expression (no top-level `;`) too.  A `while`
+      // condition, and a `for` loop's cond and step, run on every trip.
+      std::size_t trip_b = open + 1;
+      if (is_ident(t, "for")) {
+        const std::size_t semi = stmt_end(toks, open + 1, close);
+        splice(seq, walk_header(bc, open + 1, semi));
+        trip_b = std::min(semi + 1, close);
+      }
+      SchedNode trip = walk_header(bc, trip_b, close);
       std::size_t past = 0;
       SchedNode body = walk_branch(bc, close + 1, e, past);
-      add_child(seq, loop_node(bc, i, open, close, std::move(body)));
+      add_child(seq, loop_node(bc, i, open, close, std::move(body),
+                               std::move(trip), false));
       i = past;
       continue;
     }
@@ -286,21 +346,11 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
       if (body_e + 1 < e && is_ident(toks[body_e + 1], "while") &&
           parse_header(toks, body_e + 1, e, open, close)) {
         SchedNode body = walk_span(bc, i + 2, body_e);
-        add_child(seq, loop_node(bc, i, open, close, std::move(body)));
+        add_child(seq, loop_node(bc, i, open, close, std::move(body),
+                                 walk_header(bc, open + 1, close), true));
         i = close + 1;
         continue;
       }
-    }
-    if (is_ident(t, "switch")) {
-      std::size_t resume = kNpos;
-      SchedNode alt = walk_switch(bc, i, e, resume);
-      if (resume == kNpos) {
-        ++i;
-        continue;
-      }
-      if (!alt.children.empty()) add_child(seq, std::move(alt));
-      i = resume;
-      continue;
     }
     if (is_ident(t, "try")) {
       std::size_t resume = kNpos;
@@ -316,11 +366,7 @@ SchedNode walk_span(BuildCtx& bc, std::size_t b, std::size_t e) {
     if (is_punct(t, "{")) {
       // Plain block (or lambda body): splice its sequence inline.
       const std::size_t close = std::min(match_bracket(toks, i), e);
-      SchedNode sub = walk_span(bc, i + 1, close);
-      for (SchedNode& c : sub.children) {
-        seq.children.push_back(std::move(c));
-      }
-      seq.exits |= sub.exits;
+      splice(seq, walk_span(bc, i + 1, close));
       i = close + 1;
       continue;
     }

@@ -84,7 +84,13 @@ WalkExit walk_region(const Toks& toks, RankTaint& taint, std::size_t b,
       }
       const bool cond_taint =
           tainted || span_tainted(toks, taint, open + 1, close);
-      // Mark the header tokens themselves with the inherited taint only.
+      // Only the keyword carries the inherited taint; the header's other
+      // tokens stay unmarked.  Their marks would feed only CC-P2P-TAGDIV's
+      // divergent-variable scan, where the induction variable of a
+      // rank-guarded loop would flag every tag built from a counter of the
+      // same name (the parity send and receive loops of
+      // core/group_parity.cpp).  The schedule pass places the header's
+      // collectives itself (schedule.cpp, walk_header).
       std::size_t body_start = close + 1;
       std::size_t body_close;  // one past the region
       WalkExit sub;
