@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) for the core primitives: the
 // dispatched data-plane kernels (GF(256) multiply-accumulate, CRC-32C,
-// SHA-1 compression on one stream and in lanes, CDC chunking), HMERGE, RANK_SHUFFLE, offset
-// calculation, chunking + local dedup, and the serialization archive —
-// the per-call costs that the simtime model's merge_entry_cost_s /
-// chunk_overhead_s constants approximate.
+// SHA-1 compression on one stream and in lanes, CDC chunking), HMERGE,
+// RANK_SHUFFLE, offset calculation, chunking + local dedup, and the
+// serialization archive — the per-call costs that the simtime model's
+// merge_entry_cost_s / chunk_overhead_s constants approximate.
 //
 // Every benchmark reports throughput (bytes_per_second or
 // items_per_second); the kernel benches register one entry per *variant*

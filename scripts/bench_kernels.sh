@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Kernel throughput gate: builds the Release bench binaries, measures every
 # data-plane kernel variant (median of N repetitions, GB/s; SHA-1 lanes
-# over 512-B and 4-KiB messages) plus the
-# flat fingerprint-set merge/serialization throughput (entries/s), times
-# the fig3b end-to-end bench twice — once with COLLREP_KERNELS=scalar
-# (the pre-dispatch baseline) and once with the dispatched kernels — and
-# writes the results to BENCH_kernels.json at the repo root.
+# over 512-B and 4-KiB messages) plus the flat fingerprint-set
+# merge/serialization throughput (entries/s), times the fig3b end-to-end
+# bench twice — once with COLLREP_KERNELS=scalar (the pre-dispatch
+# baseline) and once with the dispatched kernels — and writes the results
+# to BENCH_kernels.json at the repo root.  Fails when the dispatched SHA-1
+# lanes hash slower than the dispatched single stream.
 #
 #   scripts/bench_kernels.sh                 # full run
 #   COLLREP_QUICK=1 scripts/bench_kernels.sh # scaled-down fig3b
