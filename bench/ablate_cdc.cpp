@@ -35,7 +35,7 @@ Result run(int nranks, bool cdc) {
     stores.emplace_back(chunk::StoreMode::kAccounting);
   }
   std::vector<core::DumpStats> stats(static_cast<std::size_t>(nranks));
-  simmpi::Runtime rt(nranks);
+  simmpi::Runtime rt(nranks, bench::runtime_options());
   rt.run([&](simmpi::Comm& comm) {
     const int r = comm.rank();
     const auto data = shifted_dataset(r, 96 * 1024);

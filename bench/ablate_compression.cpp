@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
       stores_b.emplace_back(chunk::StoreMode::kAccounting);
     }
 
-    simmpi::Runtime rt(n);
+    simmpi::Runtime rt(n, bench::runtime_options());
     rt.run([&](simmpi::Comm& comm) {
       ftrt::TrackedArena arena(4096);
       std::optional<apps::HpccgSolver> hpccg;

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < nranks; ++r) {
       stores.emplace_back(chunk::StoreMode::kAccounting);
     }
-    simmpi::Runtime rt(nranks);
+    simmpi::Runtime rt(nranks, bench::runtime_options());
     std::vector<core::DumpStats> stats(static_cast<std::size_t>(nranks));
     std::vector<std::vector<std::uint8_t>> data(
         static_cast<std::size_t>(nranks));
@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     for (int r = 0; r < nranks; ++r) {
       stores.emplace_back(chunk::StoreMode::kAccounting);
     }
-    simmpi::Runtime rt(nranks);
+    simmpi::Runtime rt(nranks, bench::runtime_options());
     std::vector<core::EcDumpStats> stats(static_cast<std::size_t>(nranks));
     rt.run([&](simmpi::Comm& comm) {
       const int r = comm.rank();

@@ -62,8 +62,7 @@ Scenario run_scenario(int nranks, int fails, std::uint64_t seed) {
   sched.arm(ptrs);
   sched.attach(bench::telemetry());
 
-  simmpi::RuntimeOptions opts;
-  opts.telemetry = bench::telemetry();
+  simmpi::RuntimeOptions opts = bench::runtime_options();
   opts.faults = &sched;
   simmpi::Runtime rt(nranks, opts);
   rt.run([&](simmpi::Comm& comm) {

@@ -94,8 +94,7 @@ Scenario run_scenario(int nranks, const std::vector<Kill>& kills) {
   rcfg.replication = kK;
   recover::RecoveryService svc(ptrs, rcfg);
 
-  simmpi::RuntimeOptions opts;
-  opts.telemetry = bench::telemetry();
+  simmpi::RuntimeOptions opts = bench::runtime_options();
   opts.faults = &sched;
   opts.contain_failures = true;
   simmpi::Runtime rt(nranks, opts);

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
               "same-node", "max recv");
 
   for (const int k : {2, 3, 4, 6}) {
-    simmpi::RuntimeOptions opts;  // default: 12 ranks per node
     std::vector<chunk::ChunkStore> stores_a;
     std::vector<chunk::ChunkStore> stores_b;
     for (int r = 0; r < n; ++r) {
@@ -33,7 +32,7 @@ int main(int argc, char** argv) {
     std::uint64_t recv_a = 0;
     std::uint64_t recv_b = 0;
 
-    simmpi::Runtime rt(n, opts);
+    simmpi::Runtime rt(n, bench::runtime_options());  // 12 ranks per node
     rt.run([&](simmpi::Comm& comm) {
       ftrt::TrackedArena arena(4096);
       apps::MiniCmConfig mc;

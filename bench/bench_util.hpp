@@ -45,8 +45,16 @@ inline std::unique_ptr<obs::Telemetry>& telemetry_slot() {
   return slot;
 }
 
-// nullptr when telemetry is disabled; handed to RuntimeOptions::telemetry.
+// nullptr when telemetry is disabled.
 inline obs::Telemetry* telemetry() { return telemetry_slot().get(); }
+
+// The options every bench Runtime starts from: the default (Shamrock-like)
+// cluster model with the bench's telemetry attached.
+inline simmpi::RuntimeOptions runtime_options() {
+  simmpi::RuntimeOptions opts;
+  opts.telemetry = telemetry();
+  return opts;
+}
 
 class TelemetryScope {
  public:
@@ -180,9 +188,7 @@ inline BenchResult run_app_bench(const BenchSpec& spec) {
     stores.emplace_back(chunk::StoreMode::kAccounting);
   }
 
-  simmpi::RuntimeOptions opts;  // Shamrock-like cluster model
-  opts.telemetry = telemetry();
-  simmpi::Runtime rt(spec.nranks, opts);
+  simmpi::Runtime rt(spec.nranks, runtime_options());
   rt.run([&](simmpi::Comm& comm) {
     ftrt::TrackedArena arena(spec.chunk_bytes);
 

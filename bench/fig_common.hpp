@@ -47,9 +47,7 @@ inline MatrixOut run_matrix(App app, int nranks, int app_iterations,
     stores.emplace_back(chunk::StoreMode::kAccounting);
   }
 
-  simmpi::RuntimeOptions opts;
-  opts.telemetry = telemetry();
-  simmpi::Runtime rt(nranks, opts);
+  simmpi::Runtime rt(nranks, runtime_options());
   rt.run([&](simmpi::Comm& comm) {
     ftrt::TrackedArena arena(4096);
     std::optional<apps::HpccgSolver> hpccg;

@@ -225,29 +225,6 @@ core::BoundedFpSet make_set(int entries, int rank, int nranks, int k) {
   return s;
 }
 
-void BM_HMerge(benchmark::State& state) {
-  const int entries = static_cast<int>(state.range(0));
-  // Build once, copy per iteration (merge_from consumes its argument).
-  const auto proto_a = make_set(entries, 0, 4, 3);
-  const auto proto_b = make_set(entries, 1, 4, 3);
-  for (auto _ : state) {
-    state.PauseTiming();
-    auto a = proto_a;
-    auto b = proto_b;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(a.merge_from(std::move(b)));
-  }
-  // entries/s over both operands (the linear merge scans 2 * entries).
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
-                          entries);
-}
-BENCHMARK(BM_HMerge)
-    ->Arg(256)
-    ->Arg(4096)
-    ->Arg(65536)
-    ->Arg(1048576)
-    ->MinWarmUpTime(kWarmupSeconds);
-
 // K-way HMERGE at a reduction-tree node: one accumulated set absorbing
 // several children in a single multi-way pass (fan-in 4, the binomial
 // tree's widest interior node at paper scale).

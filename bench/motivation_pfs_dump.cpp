@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     // PFS dump of the CM1 image.
     {
       ftrt::PfsStore pfs;
-      simmpi::Runtime rt(n);
+      simmpi::Runtime rt(n, bench::runtime_options());
       rt.run([&](simmpi::Comm& comm) {
         ftrt::TrackedArena arena(4096);
         apps::MiniCmConfig mc;
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
       for (int r = 0; r < n; ++r) {
         stores.emplace_back(chunk::StoreMode::kAccounting);
       }
-      simmpi::Runtime rt(n);
+      simmpi::Runtime rt(n, bench::runtime_options());
       rt.run([&](simmpi::Comm& comm) {
         ftrt::TrackedArena arena(4096);
         apps::MiniCmConfig mc;

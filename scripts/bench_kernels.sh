@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
 # Kernel throughput gate: builds the Release bench binaries, measures every
 # data-plane kernel variant (median of N repetitions, GB/s; SHA-1 lanes
-# over 512-B and 4-KiB messages) plus the flat fingerprint-set
+# over 512-B and 4-KiB messages) plus the flat fingerprint-set k-way
 # merge/serialization throughput (entries/s), times the fig3b end-to-end
 # bench twice — once with COLLREP_KERNELS=scalar (the pre-dispatch
 # baseline) and once with the dispatched kernels — and writes the results
-# to BENCH_kernels.json at the repo root.  Fails when the dispatched SHA-1
-# lanes hash slower than the dispatched single stream.
+# to BENCH_kernels.json at the repo root.  fig3b's two timings cover the
+# GF, CRC-32C and SHA-1 kernels only: its reduction is
+# BoundedFpSet::merge_many, a scalar k-way scan, so the HMERGE kernel
+# (the replica-health merge of recovery and repair) never runs there.
+# Fails when the dispatched HMERGE kernel is under a fixed 2.0x scalar at
+# 65536 entries (geomean over the overlap sweep), or when the dispatched
+# SHA-1 lanes hash slower than the dispatched single stream.
 #
 #   scripts/bench_kernels.sh                 # full run
 #   COLLREP_QUICK=1 scripts/bench_kernels.sh # scaled-down fig3b
@@ -25,7 +30,7 @@ cmake --build "$build" -j --target micro_primitives fig3b_reduction_overhead_hpc
 
 echo "== kernel micro-benchmarks (median of $reps) =="
 "$build/bench/micro_primitives" \
-  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|sha1_lanes|cdc_chunking|hmerge_keys|BM_HMerge|BM_FpSetSerialization' \
+  --benchmark_filter='gf_mul_add|crc32c|sha1_blocks|sha1_lanes|cdc_chunking|hmerge_keys|BM_HMergeKway|BM_FpSetSerialization' \
   --benchmark_repetitions="$reps" \
   --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "$build/micro_kernels.json"
@@ -152,7 +157,6 @@ result = {
     "repetitions": int(reps),
     "kernels": kernels,
     "fp_set": {
-        "hmerge_mentries_per_s": items("BM_HMerge"),
         "hmerge_kway_mentries_per_s": items("BM_HMergeKway"),
         "serialization_mentries_per_s": items("BM_FpSetSerialization"),
     },
@@ -176,19 +180,17 @@ for kernel, info in kernels.items():
     print(f"  {kernel}: {info['best']} {info['speedup']}x over {info['baseline']}")
 print(f"  fig3b: {result['fig3b']['speedup']}x")
 
-# Floor gate: with any SIMD merge variant available, the dispatched HMERGE
-# kernel must clear COLLREP_HMERGE_MIN_SPEEDUP x scalar at 65536 entries
-# (geomean over the overlap sweep).  The default floor is deliberately
-# below the 3x measured on the AVX2 reference host so shared-runner noise
-# does not flake CI; the checked-in BENCH_kernels.json carries the real
-# ratio and the perf-gate ratchets it.
-import os
-floor = float(os.environ.get("COLLREP_HMERGE_MIN_SPEEDUP", "2.0"))
+# Floor gate: with the SIMD merge variant available, the dispatched HMERGE
+# kernel must clear a fixed 2.0x scalar at 65536 entries (geomean over the
+# overlap sweep).  The floor sits below the ~3x measured on the AVX2
+# reference host so shared-runner noise does not flake CI; the checked-in
+# BENCH_kernels.json carries the real ratio and the perf-gate ratchets it.
+floor = 2.0
 if "hmerge" in kernels and len(hmerge_rates) > 1:
     got = kernels["hmerge"]["speedup"]
     if got < floor:
-        print(f"FAIL: hmerge dispatched speedup {got}x < {floor}x floor "
-              f"(COLLREP_HMERGE_MIN_SPEEDUP)", file=sys.stderr)
+        print(f"FAIL: hmerge dispatched speedup {got}x < {floor}x floor",
+              file=sys.stderr)
         sys.exit(1)
     print(f"  hmerge floor: {got}x >= {floor}x ok")
 

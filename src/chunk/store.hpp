@@ -112,12 +112,6 @@ class ChunkStore {
     return it == blobs_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] std::uint64_t blob_bytes() const noexcept {
-    std::uint64_t sum = 0;
-    for (const auto& [k, v] : blobs_) sum += v.size();
-    return sum;
-  }
-
   void put_manifest(Manifest manifest) {
     check_alive();
     auto& slot = manifests_[manifest.owner_rank];

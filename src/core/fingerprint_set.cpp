@@ -82,7 +82,9 @@ std::uint64_t prefix_key(const hash::Fingerprint& fp) noexcept {
 // Both sets are an fp-sorted vector of fixed-size entries whose rank lists
 // are slices of one shared pool.  FlatTraits names, per entry type, the
 // pool slice and the varint fields the archive carries between the
-// fingerprint delta and the rank list; everything below is shared.
+// fingerprint delta and the rank list.  Sealing, lookup and the archive
+// serve both sets; the pairwise merge (plan_merge, merge_flat) serves
+// ReplicaHealthSet, whose merge_from is its only caller.
 
 template <class E>
 struct FlatTraits;
@@ -501,45 +503,6 @@ void BoundedFpSet::truncate_to_f(MergeStats& stats) {
     }
   }
   entries_.resize(kept);
-}
-
-MergeStats BoundedFpSet::merge_from(BoundedFpSet&& other) {
-  if (other.k_ != k_ || other.f_cap_ != f_cap_ ||
-      other.rank_load_.size() != rank_load_.size()) {
-    throw std::invalid_argument("BoundedFpSet: incompatible merge operands");
-  }
-  seal();
-  other.seal();
-  MergeStats stats;
-  stats.entries_scanned = other.entries_.size();
-
-  // Combined designation counts steer the load-aware truncations below.
-  for (std::size_t i = 0; i < rank_load_.size(); ++i) {
-    rank_load_[i] += other.rank_load_[i];
-  }
-
-  // Common fingerprint: sum frequencies, union the two sorted rank lists
-  // (disjoint by construction: each rank's fingerprints enter the
-  // reduction exactly once), re-enforce the K bound.
-  std::vector<std::int32_t> scratch;
-  merge_flat(entries_, rank_pool_, other.entries_, other.rank_pool_,
-             [&](const FpEntry& a, std::span<const std::int32_t> ra,
-                 const FpEntry& b, std::span<const std::int32_t> rb,
-                 std::vector<std::int32_t>& pool) {
-               scratch.clear();
-               std::merge(ra.begin(), ra.end(), rb.begin(), rb.end(),
-                          std::back_inserter(scratch));
-               scratch.erase(std::unique(scratch.begin(), scratch.end()),
-                             scratch.end());
-               truncate_ranks(scratch, stats);
-               pool.insert(pool.end(), scratch.begin(), scratch.end());
-               FpEntry out;
-               out.fp = a.fp;
-               out.freq = a.freq + b.freq;
-               return out;
-             });
-  truncate_to_f(stats);
-  return stats;
 }
 
 MergeStats BoundedFpSet::merge_many(std::vector<BoundedFpSet>&& others) {

@@ -16,14 +16,15 @@
 // holders only while a fingerprint is below K.
 //
 // Both store a fingerprint-sorted flat vector of fixed-size entries whose
-// rank lists live in one shared pool, and both run on one engine: merges
-// are planned by the dispatched hmerge kernel over 64-bit fingerprint
-// prefixes and executed as bulk run copies plus match-only
-// reconciliation (no rehashing, no per-entry allocation), lookups are a
-// binary search over contiguous memory, and the archive delta-codes the
-// sorted fingerprints with varint fields.  add_local() is an O(1) append;
-// a set seals itself (sort + duplicate check) lazily at the first lookup,
-// merge, bound enforcement, or serialization.
+// rank lists live in one shared pool, so merges are bulk run copies plus
+// match-only reconciliation (no rehashing, no per-entry allocation),
+// lookups are a binary search over contiguous memory, and one archive
+// codec delta-codes the sorted fingerprints with varint fields.
+// BoundedFpSet merges k ways in one scalar min-scan (merge_many);
+// ReplicaHealthSet merges pairwise, planned by the dispatched hmerge
+// kernel over 64-bit fingerprint prefixes (merge_from).  add_local() is
+// an O(1) append; a set seals itself (sort + duplicate check) lazily at
+// the first lookup, merge, bound enforcement, or serialization.
 #pragma once
 
 #include <cstdint>
@@ -55,31 +56,23 @@ class BoundedFpSet {
 
   // Registers one locally unique fingerprint of `rank` (freq 1).  O(1)
   // append; a duplicate fingerprint is diagnosed (std::logic_error) at the
-  // next seal point — enforce_f(), merge_from(), find(), or save().  Call
+  // next seal point — enforce_f(), merge_many(), find(), or save().  Call
   // enforce_f() once after the last add_local (adds skip the F bound so
   // leaf construction stays linear).
   void add_local(const hash::Fingerprint& fp, int rank);
   MergeStats enforce_f();
 
-  // HMERGE: folds `other` into *this, then re-enforces both bounds.
-  //
-  // The key-intersection scan runs through the dispatched hmerge kernel
-  // (src/kernels) over 64-bit big-endian fingerprint prefixes: the kernel
-  // plans the merge as a tag string, take-runs become bulk entry copies,
-  // and the scalar freq/rank reconciliation touches only matched entries.
-  // Entries whose prefixes collide within one input (never seen with real
-  // digests, but legal) are planned by a full-fingerprint comparison
-  // pass instead.
-  MergeStats merge_from(BoundedFpSet&& other);
-
-  // K-way HMERGE: folds all of `others` into *this in one multi-way pass
-  // — a reduction-tree node with several children merges every child
-  // against the accumulated set once, instead of rewriting the
-  // accumulator per child as iterated merge_from calls would.  Both
-  // bounds are re-enforced once, against the combined designation loads,
-  // so results can differ from iterated pairwise merges when the K or F
-  // bound binds at an intermediate step (the bounds themselves still
-  // hold).  entries_scanned sums the incoming entry counts.
+  // HMERGE: folds all of `others` into *this in one multi-way pass — a
+  // reduction-tree node with several children merges every child against
+  // the accumulated set once, instead of rewriting the accumulator per
+  // child.  Common fingerprints sum their frequencies and union their
+  // designated ranks, truncated to the K least loaded against the
+  // combined designation loads; the F bound is re-enforced once at the
+  // end.  Results can therefore differ from a chain of one-child merges
+  // when the K or F bound binds at an intermediate step (the bounds
+  // themselves still hold).  entries_scanned sums the incoming entry
+  // counts.  Throws std::invalid_argument when an operand's F, K or rank
+  // count differs from this set's.
   MergeStats merge_many(std::vector<BoundedFpSet>&& others);
 
   // Drops frequency-1 entries.  Applied to the fully reduced set before
@@ -167,10 +160,12 @@ class ReplicaHealthSet {
   // the next seal point — merge_from(), find(), entries(), or save().
   void add_local(const hash::Fingerprint& fp, std::uint32_t length, int rank);
 
-  // HMERGE analogue on BoundedFpSet's engine: folds `other` into *this,
-  // summing counts, unioning holders, and dropping holder lists that
-  // reached K.  Returns the number of entries scanned (`other`'s size,
-  // for the merge cost model).
+  // HMERGE analogue: folds `other` into *this, summing counts, unioning
+  // holders, and dropping holder lists that reached K.  The merge is
+  // planned by the dispatched hmerge kernel over 64-bit fingerprint
+  // prefixes; sets holding two fingerprints that share a prefix fall back
+  // to a full-fingerprint plan.  Returns the number of entries scanned
+  // (`other`'s size, for the merge cost model).
   std::uint64_t merge_from(ReplicaHealthSet&& other);
 
   // Binary search; nullptr when absent.  The pointer is invalidated by

@@ -55,21 +55,6 @@ constexpr std::uint8_t gf_inv(std::uint8_t a) noexcept {
       255 - detail::kTables.log[a])];
 }
 
-constexpr std::uint8_t gf_div(std::uint8_t a, std::uint8_t b) noexcept {
-  if (a == 0) return 0;
-  return gf_mul(a, gf_inv(b));
-}
-
-constexpr std::uint8_t gf_pow(std::uint8_t a, unsigned e) noexcept {
-  std::uint8_t result = 1;
-  while (e > 0) {
-    if (e & 1u) result = gf_mul(result, a);
-    a = gf_mul(a, a);
-    e >>= 1;
-  }
-  return result;
-}
-
 // out[i] ^= coeff * in[i] — the hot loop of encoding and decoding.
 // Dispatched through src/kernels (AVX2/SSSE3 split-nibble tables when the
 // CPU has them, scalar table fallback otherwise).

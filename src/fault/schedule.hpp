@@ -107,9 +107,6 @@ class FaultSchedule final : public simmpi::FaultHook {
 
   // Snapshot of the fired log (locking copy; stable once a run ended).
   [[nodiscard]] std::vector<FiredFault> fired() const;
-  [[nodiscard]] std::size_t event_count() const noexcept {
-    return events_.size();
-  }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
  private:

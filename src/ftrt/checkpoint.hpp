@@ -140,13 +140,6 @@ class CheckpointRuntime {
     return last_recovery_;
   }
 
-  // Restart path: rebuild this rank's most recent checkpoint from the
-  // surviving stores (see core::restore_rank for failure semantics).
-  [[nodiscard]] core::RestoreResult restore_latest(
-      std::span<chunk::ChunkStore* const> stores) const {
-    return core::restore_rank(stores, comm_.rank());
-  }
-
   [[nodiscard]] const std::vector<core::DumpStats>& history() const noexcept {
     return history_;
   }
@@ -224,10 +217,6 @@ class FailureInjector {
       }
     }
     return victims;
-  }
-
-  static void heal_all(std::span<chunk::ChunkStore* const> stores) {
-    for (auto* s : stores) s->recover();
   }
 
  private:

@@ -57,70 +57,4 @@ core::RestoreResult pfs_restore(const PfsStore& pfs, int rank) {
       rank, [&](const hash::Fingerprint& fp) { return pfs.get(fp); });
 }
 
-MultiLevelStats MultiLevelCheckpoint::maybe_checkpoint(int iteration) {
-  MultiLevelStats stats;
-  const bool l3 = due(iteration, config_.l3_interval);
-  const bool l2 = l3 || due(iteration, config_.l2_interval);
-  const bool l1 = l2 || due(iteration, config_.l1_interval);
-  if (!l1) return stats;
-
-  stats.epoch = next_epoch_++;
-  const auto snapshot = arena_.snapshot();
-  const double t0 = comm_.clock().now();
-
-  core::DumpConfig cfg = config_.dump;
-  cfg.epoch = stats.epoch;
-  if (l2) {
-    // Partner replication (the paper's DUMP_OUTPUT).
-    core::Dumper dumper(comm_, local_store_, cfg);
-    (void)dumper.dump_output(snapshot, config_.replication_factor);
-    stats.level = CheckpointLevel::kL2;
-  } else {
-    // L1: strictly local — every locally unique chunk stays on this
-    // rank's device (coll-dedup would discard chunks covered remotely,
-    // which breaks the level's isolation guarantee).
-    core::DumpConfig l1_cfg = cfg;
-    l1_cfg.strategy = core::Strategy::kLocalDedup;
-    core::Dumper dumper(comm_, local_store_, l1_cfg);
-    (void)dumper.dump_output(snapshot, 1);
-    stats.level = CheckpointLevel::kL1;
-  }
-  if (l3) {
-    (void)pfs_dump(comm_, pfs_, snapshot, cfg.chunk_bytes, cfg.hash_kind,
-                   stats.epoch);
-    stats.level = CheckpointLevel::kL3;
-  }
-  stats.time_s = comm_.clock().now() - t0;
-
-  if (auto* t = comm_.obs(); t != nullptr && comm_.rank() == 0) {
-    auto& m = *t->metrics;
-    switch (stats.level) {
-      case CheckpointLevel::kL1:
-        m.add("mlc.l1_checkpoints");
-        break;
-      case CheckpointLevel::kL2:
-        m.add("mlc.l2_checkpoints");
-        break;
-      case CheckpointLevel::kL3:
-        m.add("mlc.l3_checkpoints");
-        break;
-      case CheckpointLevel::kNone:
-        break;
-    }
-    m.observe("mlc.checkpoint_time_s", stats.time_s);
-  }
-  return stats;
-}
-
-core::RestoreResult MultiLevelCheckpoint::restore_latest(
-    std::span<chunk::ChunkStore* const> stores) const {
-  // Cheapest first: the local/partner path already prefers the own store;
-  // fall back to the PFS when the replication level cannot serve.
-  try {
-    return core::restore_rank(stores, comm_.rank());
-  } catch (const std::exception&) {
-    return pfs_restore(pfs_, comm_.rank());
-  }
-}
-
 }  // namespace collrep::ftrt

@@ -1,15 +1,10 @@
-// Multi-level checkpointing (related work [11], SCR/FTI style) and the
-// decoupled parallel file system the paper's introduction argues against.
-//
-// Three levels, cheapest first:
-//   L1  local-only dump (survives process failure, not device loss),
-//   L2  partner replication through DUMP_OUTPUT (survives K-1 device
-//       losses — the paper's subject),
-//   L3  flush to a decoupled PFS (GPFS-like: survives everything, but all
-//       nodes share one aggregate ingest bandwidth, which is why collective
-//       dumps to it explode at scale — the paper's motivation, quantified
-//       by bench/motivation_pfs_dump).
-// Restore prefers the newest surviving level.
+// The decoupled parallel file system the paper's introduction argues
+// against: the top level of a multi-level checkpoint scheme (related work
+// [11], SCR/FTI style), below which sit local-only dumps and the partner
+// replication of DUMP_OUTPUT.  The PFS survives every device loss, but all
+// nodes share one aggregate ingest bandwidth, which is why collective
+// dumps to it explode at scale — the paper's motivation, quantified by
+// bench/motivation_pfs_dump.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +15,6 @@
 
 #include "core/dump.hpp"
 #include "core/restore.hpp"
-#include "ftrt/tracked_arena.hpp"
 #include "simmpi/collectives.hpp"
 
 namespace collrep::ftrt {
@@ -104,62 +98,9 @@ struct PfsDumpStats {
                                     hash::HashKind hash_kind,
                                     std::uint64_t epoch);
 
-// Restores `rank` from the PFS alone (L3 path).
+// Restores `rank` from the PFS alone.  No bench or example reads a PFS
+// checkpoint back; this is the test oracle that reads pfs_dump's output
+// and checks it against the dumped image.
 [[nodiscard]] core::RestoreResult pfs_restore(const PfsStore& pfs, int rank);
-
-// ---- the multi-level driver ---------------------------------------------------
-
-struct MultiLevelConfig {
-  core::DumpConfig dump;       // shared chunking/fingerprint settings
-  int replication_factor = 3;  // L2
-  int l1_interval = 5;         // local-only, cheap and frequent
-  int l2_interval = 20;        // partner replication
-  int l3_interval = 60;        // PFS flush, rare
-};
-
-enum class CheckpointLevel : std::uint8_t { kNone, kL1, kL2, kL3 };
-
-struct MultiLevelStats {
-  CheckpointLevel level = CheckpointLevel::kNone;
-  double time_s = 0.0;
-  std::uint64_t epoch = 0;
-};
-
-class MultiLevelCheckpoint {
- public:
-  MultiLevelCheckpoint(simmpi::Comm& comm, chunk::ChunkStore& local_store,
-                       PfsStore& pfs, TrackedArena& arena,
-                       MultiLevelConfig config)
-      : comm_(comm),
-        local_store_(local_store),
-        pfs_(pfs),
-        arena_(arena),
-        config_(config) {}
-
-  // Collective.  Fires the *highest* due level (an L3 iteration implies
-  // the data is also locally protected — the flush writes through L2).
-  MultiLevelStats maybe_checkpoint(int iteration);
-
-  // Restore this rank's newest checkpoint, preferring the cheapest
-  // surviving level: local store -> partner stores -> PFS.
-  [[nodiscard]] core::RestoreResult restore_latest(
-      std::span<chunk::ChunkStore* const> stores) const;
-
-  [[nodiscard]] std::uint64_t epochs_taken() const noexcept {
-    return next_epoch_ - 1;
-  }
-
- private:
-  [[nodiscard]] static bool due(int iteration, int interval) noexcept {
-    return interval > 0 && iteration > 0 && iteration % interval == 0;
-  }
-
-  simmpi::Comm& comm_;
-  chunk::ChunkStore& local_store_;
-  PfsStore& pfs_;
-  TrackedArena& arena_;
-  MultiLevelConfig config_;
-  std::uint64_t next_epoch_ = 1;
-};
 
 }  // namespace collrep::ftrt

@@ -6,6 +6,8 @@
 // on malloc: applications allocate their arrays from the arena, and
 // snapshot() returns a chunk::Dataset whose segments are the live
 // page runs — page-aligned, page-granular, in deterministic order.
+// Checkpointed state lives for the whole run, so the arena never frees:
+// each block's used pages are a prefix of the block.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +41,7 @@ class TrackedArena {
     return {reinterpret_cast<T*>(raw.data()), count};
   }
 
-  // Releases a region previously returned by allocate (whole region only).
-  void deallocate(std::span<const std::uint8_t> region);
-
-  // The checkpoint payload: every live page, grouped into contiguous runs.
+  // The checkpoint payload: every live page, one segment per block.
   [[nodiscard]] chunk::Dataset snapshot() const;
 
   [[nodiscard]] std::size_t page_bytes() const noexcept { return page_bytes_; }
@@ -54,11 +53,11 @@ class TrackedArena {
  private:
   struct Block {
     std::unique_ptr<std::uint8_t[]> storage;
-    std::vector<bool> used;  // per page
+    std::size_t pages = 0;  // capacity
+    std::size_t used = 0;   // pages [0, used) are handed out
   };
 
   [[nodiscard]] std::span<std::uint8_t> carve(Block& block,
-                                              std::size_t first_page,
                                               std::size_t pages);
 
   std::size_t page_bytes_;

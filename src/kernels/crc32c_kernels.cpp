@@ -1,19 +1,6 @@
 // CRC-32C (Castagnoli) kernel variants: the byte-at-a-time reflected
-// table reference, the SSE4.2 hardware instruction (CRC32 r64, r/m64 —
-// 8 bytes per instruction, ~3 cycles latency pipelined by the loop split),
-// and a PCLMUL-combined three-stream version.  The hardware CRC32
-// instruction has 3-cycle latency but 1-cycle throughput, so a single
-// dependency chain tops out at ~2.7 bytes/cycle; running three independent
-// chains over fixed-size lanes and stitching them back together with a
-// carry-less multiply recovers the full 8 bytes/cycle issue rate.  The
-// stitch uses the reflected-domain identity
-//
-//   crc · x^(8·L) mod P  ==  CRC32(0, (clmul(crc, x^(8·(L-4)) mod P) << 1))
-//
-// (the CRC32 instruction folds its 64-bit operand through x^32, and the
-// carry-less product of two bit-reflected operands lands shifted down by
-// one), with the x^(8·(L-4)) constant evaluated at compile time by the
-// constexpr GF(2) helpers below.
+// table reference and the SSE4.2 hardware instruction (CRC32 r64, r/m64 —
+// 8 bytes per instruction, one dependency chain).
 #include "kernels/kernels.hpp"
 
 #include <array>
@@ -43,35 +30,6 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 }
 
 constexpr auto kTable = make_table();
-
-// GF(2)[x] arithmetic mod the reflected polynomial, zlib's crc32_combine
-// convention: x^0 is represented by bit 31.  Used at compile time only, to
-// derive the lane-stitch constant for the three-stream kernel.
-constexpr std::uint32_t gf2_multmodp(std::uint32_t a, std::uint32_t b) {
-  std::uint32_t m = 1u << 31;
-  std::uint32_t p = 0;
-  for (;;) {
-    if (a & m) {
-      p ^= b;
-      if ((a & (m - 1u)) == 0) break;
-    }
-    m >>= 1;
-    b = (b & 1u) ? (b >> 1) ^ kPolyReflected : b >> 1;
-  }
-  return p;
-}
-
-// x^(8n) mod P — the operator that advances a CRC over n zero bytes.
-constexpr std::uint32_t gf2_xpow8n(std::uint64_t n) {
-  std::uint32_t r = 0x80000000u;    // x^0
-  std::uint32_t base = 0x00800000u;  // x^8
-  while (n != 0) {
-    if (n & 1u) r = gf2_multmodp(r, base);
-    base = gf2_multmodp(base, base);
-    n >>= 1;
-  }
-  return r;
-}
 
 std::uint32_t crc32c_scalar(std::uint32_t crc, const std::uint8_t* data,
                             std::size_t n) noexcept {
@@ -122,71 +80,6 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_sse42(
   return crc32;
 }
 
-// Bytes per lane of the three-stream block.  512 keeps the whole block
-// (1536 B) inside L1 while amortizing the two stitches (~20 cycles each)
-// down to noise; the serial sse42 loop handles everything smaller.
-constexpr std::size_t kCrcLane = 512;
-constexpr std::uint32_t kCrcLaneShift = gf2_xpow8n(kCrcLane - 4);
-
-// Advance `crc` across kCrcLane zero bytes: multiply by x^(8·kCrcLane)
-// in the reflected domain via one carry-less multiply folded through the
-// CRC32 instruction (see file header for the identity).
-__attribute__((target("pclmul,sse4.2"))) inline std::uint32_t
-crc32c_shift_lane(std::uint32_t crc) noexcept {
-  const __m128i product = _mm_clmulepi64_si128(
-      _mm_cvtsi32_si128(static_cast<int>(crc)),
-      _mm_cvtsi32_si128(static_cast<int>(kCrcLaneShift)), 0x00);
-  const auto q =
-      static_cast<std::uint64_t>(_mm_cvtsi128_si64(product)) << 1;
-  return static_cast<std::uint32_t>(_mm_crc32_u64(0, q));
-}
-
-__attribute__((target("pclmul,sse4.2"))) std::uint32_t crc32c_pclmul(
-    std::uint32_t crc, const std::uint8_t* data, std::size_t n) noexcept {
-  std::uint64_t state = crc;
-  while (n > 0 && (reinterpret_cast<std::uintptr_t>(data) & 7u) != 0) {
-    state = _mm_crc32_u8(static_cast<std::uint32_t>(state), *data++);
-    --n;
-  }
-  while (n >= 3 * kCrcLane) {
-    // Three independent CRC chains, one per lane; chain 0 continues the
-    // running state, chains 1 and 2 start from zero and are stitched in.
-    std::uint64_t c0 = state;
-    std::uint64_t c1 = 0;
-    std::uint64_t c2 = 0;
-    for (std::size_t off = 0; off < kCrcLane; off += 8) {
-      std::uint64_t q0;
-      std::uint64_t q1;
-      std::uint64_t q2;
-      std::memcpy(&q0, data + off, 8);
-      std::memcpy(&q1, data + kCrcLane + off, 8);
-      std::memcpy(&q2, data + 2 * kCrcLane + off, 8);
-      c0 = _mm_crc32_u64(c0, q0);
-      c1 = _mm_crc32_u64(c1, q1);
-      c2 = _mm_crc32_u64(c2, q2);
-    }
-    std::uint32_t merged =
-        crc32c_shift_lane(static_cast<std::uint32_t>(c0)) ^
-        static_cast<std::uint32_t>(c1);
-    state = crc32c_shift_lane(merged) ^ static_cast<std::uint32_t>(c2);
-    data += 3 * kCrcLane;
-    n -= 3 * kCrcLane;
-  }
-  while (n >= 8) {
-    std::uint64_t q;
-    std::memcpy(&q, data, 8);
-    state = _mm_crc32_u64(state, q);
-    data += 8;
-    n -= 8;
-  }
-  auto crc32 = static_cast<std::uint32_t>(state);
-  while (n > 0) {
-    crc32 = _mm_crc32_u8(crc32, *data++);
-    --n;
-  }
-  return crc32;
-}
-
 #endif  // COLLREP_KERNELS_CRC_X86
 
 }  // namespace
@@ -196,8 +89,6 @@ std::span<const Crc32cVariant> crc32c_variants() noexcept {
       {"scalar", true, &crc32c_scalar},
 #ifdef COLLREP_KERNELS_CRC_X86
       {"sse42", cpu_features().sse42, &crc32c_sse42},
-      {"pclmul", cpu_features().sse42 && cpu_features().pclmul,
-       &crc32c_pclmul},
 #endif
   };
   return variants;

@@ -21,7 +21,6 @@ CpuFeatures probe() noexcept {
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0) {
     f.ssse3 = (ecx & bit_SSSE3) != 0;
     f.sse42 = (ecx & bit_SSE4_2) != 0;
-    f.pclmul = (ecx & bit_PCLMUL) != 0;
     // AVX2 additionally needs the OS to save YMM state (OSXSAVE + XCR0);
     // AVX-512 needs the opmask + ZMM state bits on top of that.
     const bool osxsave = (ecx & bit_OSXSAVE) != 0;
@@ -45,7 +44,6 @@ CpuFeatures probe() noexcept {
       const unsigned avx512_bits =
           bit_AVX512F | bit_AVX512BW | bit_AVX512DQ | bit_AVX512VL;
       f.avx512 = zmm_enabled && (ebx7 & avx512_bits) == avx512_bits;
-      f.vpclmulqdq = f.avx512 && f.pclmul && (ecx7 & bit_VPCLMULQDQ) != 0;
     }
   }
 #endif

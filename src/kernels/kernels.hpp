@@ -29,11 +29,9 @@ struct CpuFeatures {
   bool sse42 = false;
   bool avx2 = false;    // includes the OS-enabled-YMM (XGETBV) check
   bool sha_ni = false;
-  bool pclmul = false;      // PCLMULQDQ (carry-less multiply)
-  bool vpclmulqdq = false;  // wide VPCLMULQDQ (implies pclmul on real CPUs)
   // AVX-512 F+BW+DQ+VL as one bundle, including the OS-enabled-ZMM
-  // (XGETBV opmask/ZMM_Hi256/Hi16_ZMM) check; the merge kernels need all
-  // four subsets, so there is no point probing them separately.
+  // (XGETBV opmask/ZMM_Hi256/Hi16_ZMM) check; gates the SHA-1 lanes
+  // kernel.
   bool avx512 = false;
 };
 
@@ -114,7 +112,7 @@ struct Sha1LanesVariant {
 };
 
 struct HmergeVariant {
-  const char* name;  // "scalar", "avx2", "avx512"
+  const char* name;  // "scalar", "avx2"
   bool available;
   HmergeFn fn;
 };

@@ -1,12 +1,15 @@
 // HMERGE kernel variants: set-merge planning over sorted 64-bit keys.
 //
-// The merge that dominates every DUMP_OUTPUT reduction level walks two
-// fingerprint-sorted entry arrays.  The kernel works on the order-
+// The merge of the replica-health audit (ReplicaHealthSet::merge_from,
+// run by core::allreduce_health for recovery, the repair scrub and the
+// degraded-dump audit) walks two fingerprint-sorted entry arrays.  The
+// dump's own reduction (BoundedFpSet::merge_many) is a scalar k-way
+// min-scan and never calls this kernel.  The kernel works on the order-
 // preserving 64-bit prefix keys only and emits a tag byte per merged
 // output (take-A / take-B / match); the caller turns take-runs into bulk
 // copies and touches full entries only on matches.
 //
-// Three regimes matter and each vector variant accelerates all of them,
+// Three regimes matter and the AVX2 variant accelerates all of them,
 // picked block by block with a single combined rarely-taken branch:
 //   disjoint runs   — one side wins repeatedly.  Two scalar compares
 //                     (this block's last key vs the other side's head)
@@ -15,9 +18,8 @@
 //                     the whole run of identical tags.  Range-partitioned
 //                     inputs merge at memory speed through this path.
 //   duplicate runs  — both heads advance in lockstep (common at high
-//                     overlap).  A vector equality check (2×VPCMPEQQ on
-//                     AVX2, one 8-lane mask compare on AVX-512) commits a
-//                     full block of match tags at once.
+//                     overlap).  A vector equality check (2×VPCMPEQQ)
+//                     commits a full block of match tags at once.
 //   interleaved     — neither run test fires: a 16-iteration branchless
 //                     burst.  Each iteration computes its tag
 //                     arithmetically (tag = 2*eq + (b<a)) and advances
@@ -285,21 +287,17 @@ __attribute__((target("avx2"), always_inline)) inline bool step_avx2(
   return true;
 }
 
-// Shared driver: split into segments, step them round-robin, drain, then
-// compact each segment's tag run down to its final offset.  Step is a
-// stateless lambda wrapping step_avx2/step_avx512 (monomorphized — no
-// indirect call in the hot loop).
-// always_inline so the whole driver lands inside the target-attributed
-// wrapper below — without it the differing target attributes block
-// inlining and every block step becomes a real call.
-template <typename Step>
-__attribute__((always_inline)) inline HmergeResult hmerge_segmented(
+// The driver: split into segments, step them round-robin, drain, then
+// compact each segment's tag run down to its final offset.  step_avx2 is
+// always_inline and shares this function's target, so every block step
+// lands inline in the round-robin loop.
+__attribute__((target("avx2"))) HmergeResult hmerge_avx2(
     const std::uint64_t* a, std::size_t na, const std::uint64_t* b,
-    std::size_t nb, std::uint8_t* tags, Step block_step) noexcept {
+    std::size_t nb, std::uint8_t* tags) noexcept {
   const std::size_t total = na + nb;
   if (total < kSegmentThreshold) {
     MergeCursor s{0, na, 0, nb, 0, 0};
-    while (block_step(a, b, tags, s)) {
+    while (step_avx2(a, b, tags, s)) {
     }
     finish_span(a, b, tags, s);
     return {s.o, s.m};
@@ -322,14 +320,14 @@ __attribute__((always_inline)) inline HmergeResult hmerge_segmented(
     bool more = true;
 #pragma GCC unroll 6
     for (auto& s : seg) {
-      more &= block_step(a, b, tags, s);
+      more &= step_avx2(a, b, tags, s);
     }
     if (!more) {
       break;
     }
   }
   for (auto& s : seg) {
-    while (block_step(a, b, tags, s)) {
+    while (step_avx2(a, b, tags, s)) {
     }
     finish_span(a, b, tags, s);
   }
@@ -346,108 +344,6 @@ __attribute__((always_inline)) inline HmergeResult hmerge_segmented(
   return {out, m};
 }
 
-__attribute__((target("avx2"))) HmergeResult hmerge_avx2(
-    const std::uint64_t* a, std::size_t na, const std::uint64_t* b,
-    std::size_t nb, std::uint8_t* tags) noexcept {
-  return hmerge_segmented(
-      a, na, b, nb, tags,
-      [](const std::uint64_t* aa, const std::uint64_t* bb, std::uint8_t* t,
-         MergeCursor& s) __attribute__((target("avx2"))) {
-        return step_avx2(aa, bb, t, s);
-      });
-}
-
-#if defined(__x86_64__)
-
-// AVX-512 block step: identical structure to step_avx2; the duplicate-
-// run probe is one 512-bit load pair + a single 8-lane mask compare.
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"),
-               always_inline)) inline bool
-step_avx512(const std::uint64_t* a, const std::uint64_t* b,
-            std::uint8_t* tags, MergeCursor& s) noexcept {
-  if (s.i + 16 > s.ea || s.j + 16 > s.eb) {
-    return false;
-  }
-  const bool skip_a = a[s.i + 15] < b[s.j];
-  const bool skip_b = b[s.j + 15] < a[s.i];
-  // Duplicate-run probe: 4 lanes via VPCMPEQQ on YMM (cheaper than a
-  // 512-bit load pair when the probe misses, which is the common case on
-  // interleaved data); the gallop extends a hit 8 keys at a time with
-  // full 512-bit compares.
-  const __m256i va0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + s.i));
-  const __m256i vb0 =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + s.j));
-  const __mmask8 eq4 = _mm256_cmpeq_epu64_mask(va0, vb0);
-  if (static_cast<int>(skip_a) | static_cast<int>(skip_b) |
-      static_cast<int>(eq4 == 0xFu)) {
-    if (skip_a) {
-      const std::size_t e = gallop_lower_bound(a, s.i + 16, s.ea, b[s.j]);
-      std::memset(tags + s.o, kHmergeTakeA, e - s.i);
-      s.o += e - s.i;
-      s.i = e;
-      return true;
-    }
-    if (skip_b) {
-      const std::size_t e = gallop_lower_bound(b, s.j + 16, s.eb, a[s.i]);
-      std::memset(tags + s.o, kHmergeTakeB, e - s.j);
-      s.o += e - s.j;
-      s.j = e;
-      return true;
-    }
-    std::size_t e = s.i + 4;
-    while (e + 8 <= s.ea && s.j + (e - s.i) + 8 <= s.eb) {
-      const __m512i wa =
-          _mm512_loadu_si512(reinterpret_cast<const void*>(a + e));
-      const __m512i wb = _mm512_loadu_si512(
-          reinterpret_cast<const void*>(b + s.j + (e - s.i)));
-      if (_mm512_cmpeq_epu64_mask(wa, wb) != 0xFFu) {
-        break;
-      }
-      e += 8;
-    }
-    const std::size_t len = e - s.i;
-    std::memset(tags + s.o, kHmergeMatch, len);
-    s.o += len;
-    s.i = e;
-    s.j += len;
-    s.m += len;
-    return true;
-  }
-  std::size_t i = s.i;
-  std::size_t j = s.j;
-  std::size_t o = s.o;
-#pragma GCC unroll 16
-  for (int r = 0; r < 16; ++r) {
-    const std::uint64_t x = a[i];
-    const std::uint64_t y = b[j];
-    const bool eq = x == y;
-    const bool gt = y < x;
-    tags[o++] = static_cast<std::uint8_t>(2u * eq + gt);
-    i += static_cast<std::size_t>(x <= y);
-    j += static_cast<std::size_t>(x >= y);
-  }
-  s.m += (i - s.i) + (j - s.j) - 16;
-  s.i = i;
-  s.j = j;
-  s.o = o;
-  return true;
-}
-
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) HmergeResult
-hmerge_avx512(const std::uint64_t* a, std::size_t na, const std::uint64_t* b,
-              std::size_t nb, std::uint8_t* tags) noexcept {
-  return hmerge_segmented(
-      a, na, b, nb, tags,
-      [](const std::uint64_t* aa, const std::uint64_t* bb, std::uint8_t* t,
-         MergeCursor& s)
-          __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) {
-            return step_avx512(aa, bb, t, s);
-          });
-}
-
-#endif  // __x86_64__
-
 #endif  // COLLREP_KERNELS_X86
 
 }  // namespace
@@ -457,9 +353,6 @@ std::span<const HmergeVariant> hmerge_variants() noexcept {
       {"scalar", true, &hmerge_scalar},
 #ifdef COLLREP_KERNELS_X86
       {"avx2", cpu_features().avx2, &hmerge_avx2},
-#if defined(__x86_64__)
-      {"avx512", cpu_features().avx512, &hmerge_avx512},
-#endif
 #endif
   };
   return variants;

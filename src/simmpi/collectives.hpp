@@ -24,9 +24,7 @@ namespace tags {
 // (source, tag) so repeated collectives on the same tag stay ordered.
 inline constexpr int kBcast = 1 << 20;
 inline constexpr int kReduce = 2 << 20;
-inline constexpr int kGather = 3 << 20;
 inline constexpr int kAllgather = 4 << 20;
-inline constexpr int kScatter = 5 << 20;
 }  // namespace tags
 
 namespace detail {
@@ -39,7 +37,7 @@ namespace detail {
   return rounds;
 }
 
-// Fingerprint of a typed collective entry: the first six CollOp values
+// Fingerprint of a typed collective entry: the leading CollOp values
 // mirror obs::CollectiveKind by index, the payload type contributes its
 // typeid hash (identical across rank threads of one process).  Reductions
 // mix in the operator's typeid as well — closure types are unique per
@@ -215,56 +213,6 @@ T allreduce(Comm& comm, T value, Op op,
   bcast(comm, value, 0);
   comm.fault_point("coll.post");
   return value;
-}
-
-// Gather every rank's value at `root` (index == source rank).  Non-root
-// ranks receive an empty vector.
-template <class T>
-std::vector<T> gather(Comm& comm, const T& value, int root = 0,
-                      std::source_location loc =
-                          std::source_location::current()) {
-  const int n = comm.size();
-  const detail::CollectiveScope scope(
-      comm, obs::CollectiveKind::kGather,
-      static_cast<std::uint64_t>(n > 0 ? n - 1 : 0),
-      detail::fingerprint<T>(obs::CollectiveKind::kGather, root), loc);
-  if (comm.rank() != root) {
-    comm.send_value(root, tags::kGather, value);
-    comm.fault_point("coll.post");
-    return {};
-  }
-  std::vector<T> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    if (r == root) {
-      out.push_back(value);
-    } else {
-      out.push_back(comm.recv_value<T>(r, tags::kGather));
-    }
-  }
-  comm.fault_point("coll.post");
-  return out;
-}
-
-// Scatter `values` (root-only, size == nranks) so each rank gets its slot.
-template <class T>
-T scatter(Comm& comm, const std::vector<T>& values, int root = 0,
-          std::source_location loc = std::source_location::current()) {
-  const int n = comm.size();
-  const detail::CollectiveScope scope(
-      comm, obs::CollectiveKind::kScatter,
-      static_cast<std::uint64_t>(n > 0 ? n - 1 : 0),
-      detail::fingerprint<T>(obs::CollectiveKind::kScatter, root), loc);
-  if (comm.rank() == root) {
-    for (int r = 0; r < n; ++r) {
-      if (r != root) comm.send_value(r, tags::kScatter, values[r]);
-    }
-    comm.fault_point("coll.post");
-    return values[static_cast<std::size_t>(root)];
-  }
-  T received = comm.recv_value<T>(root, tags::kScatter);
-  comm.fault_point("coll.post");
-  return received;
 }
 
 // Allgather: returns the vector of all ranks' values by rank.  Modelled

@@ -151,11 +151,6 @@ class Comm {
     std::vector<Dead> dead;  // ascending by prev_rank
   };
 
-  // True once this rank has observed a peer death (a collective threw
-  // RankDeadError, or a receive failed); every collective entry re-throws
-  // until shrink() is called.
-  [[nodiscard]] bool failure_pending() const noexcept { return fail_pending_; }
-
   // The ULFM-style recovery collective: every survivor must call it after
   // catching RankDeadError.  Parks this rank, revokes the old world's
   // pending communication (unblocking stragglers into RankDeadError of
@@ -171,12 +166,6 @@ class Comm {
   [[nodiscard]] Window win_create(
       std::size_t local_bytes,
       std::source_location loc = std::source_location::current());
-
-  // Modeled bytes this rank has put through windows in the epoch that is
-  // currently open (for DumpStats); reset to 0 by every fence.
-  [[nodiscard]] std::uint64_t epoch_bytes_put() const noexcept {
-    return epoch_bytes_put_;
-  }
 
   // Modeled bytes that were delivered *into this rank's* window regions
   // during the most recently completed epoch.  Counted at fence delivery
@@ -216,6 +205,8 @@ class Comm {
   obs::RankTelemetry* obs_ = nullptr;
   CheckHook* check_ = nullptr;
   sim::SimClock clock_;
+  // Modeled bytes this rank has put through windows in the open epoch;
+  // the fence's trace events carry it, and every fence resets it.
   std::uint64_t epoch_bytes_put_ = 0;
   std::uint64_t epoch_bytes_recv_ = 0;
   int next_win_id_ = 0;  // advances identically on all ranks (collective)
@@ -235,6 +226,9 @@ class Comm {
   // Current dense group: index = dense rank, value = world rank.
   std::vector<int> group_;
   int crank_;  // this rank's dense position in group_
+  // Set once this rank has observed a peer death (a collective threw
+  // RankDeadError, or a receive failed); every collective entry re-throws
+  // until shrink() clears it.
   bool fail_pending_ = false;
   // Death count already absorbed by a shrink; a SyncResult reporting more
   // means an unagreed death happened.

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <map>
 #include <numeric>
 #include <source_location>
 #include <string>
@@ -76,31 +78,54 @@ TEST_P(CollectiveSweep, AllreduceMergesSetsLikeHmerge) {
 }
 
 TEST_P(CollectiveSweep, GatherCollectsByRank) {
+  // simmpi has no gather: the dump collects per-rank values at a root
+  // through reduce_kway, whose operator here concatenates (rank, value)
+  // pairs.  Every rank's value must arrive exactly once, from every root.
   const int n = GetParam();
   simmpi::Runtime rt(n);
   rt.run([&](simmpi::Comm& comm) {
-    const auto got = simmpi::gather(comm, comm.rank() * 2, 0);
-    if (comm.rank() == 0) {
-      ASSERT_EQ(static_cast<int>(got.size()), n);
-      for (int r = 0; r < n; ++r) {
-        EXPECT_EQ(got[static_cast<std::size_t>(r)], r * 2);
+    for (int root = 0; root < n; ++root) {
+      const std::map<int, int> mine{{comm.rank(), comm.rank() * 2}};
+      const auto got = simmpi::reduce_kway(
+          comm, mine,
+          [](std::map<int, int> acc, std::vector<std::map<int, int>> kids) {
+            for (const auto& kid : kids) {
+              for (const auto& [r, v] : kid) {
+                EXPECT_TRUE(acc.emplace(r, v).second) << "rank " << r;
+              }
+            }
+            return acc;
+          },
+          root);
+      if (comm.rank() == root) {
+        ASSERT_EQ(static_cast<int>(got.size()), n);
+        for (const auto& [r, v] : got) EXPECT_EQ(v, r * 2);
       }
-    } else {
-      EXPECT_TRUE(got.empty());
     }
   });
 }
 
 TEST_P(CollectiveSweep, ScatterDistributesByRank) {
+  // simmpi has no scatter: the dump ships per-partner payloads with
+  // one-sided puts closed by one fence.  The root puts slot r into rank
+  // r's window; after the fence each rank reads its own slot.
   const int n = GetParam();
   simmpi::Runtime rt(n);
   rt.run([&](simmpi::Comm& comm) {
-    std::vector<std::string> values;
+    auto win = comm.win_create(sizeof(std::uint32_t));
     if (comm.rank() == 0) {
-      for (int r = 0; r < n; ++r) values.push_back("slot" + std::to_string(r));
+      for (int r = 0; r < n; ++r) {
+        const std::uint32_t slot = 1000u + static_cast<std::uint32_t>(r);
+        std::uint8_t bytes[sizeof slot];
+        std::memcpy(bytes, &slot, sizeof slot);
+        win.put(r, 0, bytes);
+      }
     }
-    const auto mine = simmpi::scatter(comm, values, 0);
-    EXPECT_EQ(mine, "slot" + std::to_string(comm.rank()));
+    win.fence();
+    std::uint32_t mine = 0;
+    std::memcpy(&mine, win.local().data(), sizeof mine);
+    EXPECT_EQ(mine, 1000u + static_cast<std::uint32_t>(comm.rank()));
+    win.free();
   });
 }
 

@@ -62,23 +62,6 @@ TEST(Gf256, MultiplicationIsCommutativeAndAssociative) {
   }
 }
 
-TEST(Gf256, DivisionInvertsMultiplication) {
-  apps::SplitMix64 rng(6);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto a = static_cast<std::uint8_t>(rng.next());
-    const auto b = static_cast<std::uint8_t>(rng.next() | 1);
-    EXPECT_EQ(ec::gf_div(ec::gf_mul(a, b), b), a);
-  }
-}
-
-TEST(Gf256, PowMatchesRepeatedMultiplication) {
-  std::uint8_t acc = 1;
-  for (unsigned e = 0; e < 10; ++e) {
-    EXPECT_EQ(ec::gf_pow(0x1D, e), acc);
-    acc = ec::gf_mul(acc, 0x1D);
-  }
-}
-
 TEST(Gf256, MulAddMatchesScalarLoop) {
   apps::SplitMix64 rng(7);
   std::vector<std::uint8_t> in(333);

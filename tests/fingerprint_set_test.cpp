@@ -26,6 +26,14 @@ BoundedFpSet leaf(std::uint32_t f, int k, int nranks, int rank,
   return s;
 }
 
+// One-child HMERGE: merge_many with a single child, the pairwise step of a
+// reduction tree.
+core::MergeStats merge(BoundedFpSet& acc, BoundedFpSet child) {
+  std::vector<BoundedFpSet> children;
+  children.push_back(std::move(child));
+  return acc.merge_many(std::move(children));
+}
+
 // Designated ranks of `f` as a materialized vector (empty when absent).
 std::vector<std::int32_t> ranks_of(const BoundedFpSet& s, const Fingerprint& f) {
   const auto* e = s.find(f);
@@ -61,7 +69,7 @@ TEST(BoundedFpSet, InvalidParamsRejected) {
 TEST(BoundedFpSet, MergeSumsFrequencies) {
   auto a = leaf(16, 3, 4, 0, {1, 2});
   auto b = leaf(16, 3, 4, 1, {2, 3});
-  a.merge_from(std::move(b));
+  merge(a, std::move(b));
   EXPECT_EQ(a.size(), 3u);
   EXPECT_EQ(a.find(fp(1))->freq, 1u);
   EXPECT_EQ(a.find(fp(2))->freq, 2u);
@@ -71,18 +79,18 @@ TEST(BoundedFpSet, MergeSumsFrequencies) {
 
 TEST(BoundedFpSet, MergeIncompatibleOperandsThrows) {
   auto a = leaf(16, 3, 4, 0, {1});
-  EXPECT_THROW(a.merge_from(leaf(16, 2, 4, 1, {1})), std::invalid_argument);
+  EXPECT_THROW(merge(a, leaf(16, 2, 4, 1, {1})), std::invalid_argument);
   auto c = leaf(16, 3, 4, 0, {1});
-  EXPECT_THROW(c.merge_from(leaf(8, 3, 4, 1, {1})), std::invalid_argument);
+  EXPECT_THROW(merge(c, leaf(8, 3, 4, 1, {1})), std::invalid_argument);
   auto d = leaf(16, 3, 4, 0, {1});
-  EXPECT_THROW(d.merge_from(leaf(16, 3, 5, 1, {1})), std::invalid_argument);
+  EXPECT_THROW(merge(d, leaf(16, 3, 5, 1, {1})), std::invalid_argument);
 }
 
 TEST(BoundedFpSet, RankListCappedAtK) {
   constexpr int kK = 3;
   auto acc = leaf(64, kK, 8, 0, {7});
   for (int r = 1; r < 8; ++r) {
-    acc.merge_from(leaf(64, kK, 8, r, {7}));
+    merge(acc, leaf(64, kK, 8, r, {7}));
   }
   const auto* e = acc.find(fp(7));
   ASSERT_NE(e, nullptr);
@@ -97,8 +105,8 @@ TEST(BoundedFpSet, TruncationDropsMostLoadedRanks) {
   auto heavy = leaf(64, kK, 3, 0, {10, 11, 12, 13, 14});
   auto light1 = leaf(64, kK, 3, 1, {10});
   auto light2 = leaf(64, kK, 3, 2, {10});
-  heavy.merge_from(std::move(light1));
-  heavy.merge_from(std::move(light2));
+  merge(heavy, std::move(light1));
+  merge(heavy, std::move(light2));
   const auto* e = heavy.find(fp(10));
   ASSERT_NE(e, nullptr);
   ASSERT_EQ(heavy.ranks(*e).size(), 2u);
@@ -113,8 +121,8 @@ TEST(BoundedFpSet, TopFKeepsMostFrequent) {
   auto a = leaf(kF, 4, 4, 0, {1, 2, 3});
   auto b = leaf(kF, 4, 4, 1, {1, 2});
   auto c = leaf(kF, 4, 4, 2, {1});
-  a.merge_from(std::move(b));
-  a.merge_from(std::move(c));
+  merge(a, std::move(b));
+  merge(a, std::move(c));
   EXPECT_EQ(a.size(), 2u);
   ASSERT_NE(a.find(fp(1)), nullptr);
   EXPECT_EQ(a.find(fp(1))->freq, 3u);
@@ -136,7 +144,7 @@ TEST(BoundedFpSet, EnforceFOnOversizedLeaf) {
 TEST(BoundedFpSet, MergeStatsReportScanAndDrops) {
   auto a = leaf(4, 2, 4, 0, {1, 2, 3, 4});
   auto b = leaf(4, 2, 4, 1, {5, 6, 7, 8});
-  const auto stats = a.merge_from(std::move(b));
+  const auto stats = merge(a, std::move(b));
   EXPECT_EQ(stats.entries_scanned, 4u);
   EXPECT_EQ(stats.entries_dropped_f, 4u);  // 8 candidates, F = 4
   EXPECT_EQ(a.size(), 4u);
@@ -154,17 +162,17 @@ TEST(BoundedFpSet, FrequencyContentIsMergeOrderIndependent) {
   };
 
   auto left = make_leaf(0);
-  for (int r = 1; r < kRanks; ++r) left.merge_from(make_leaf(r));
+  for (int r = 1; r < kRanks; ++r) merge(left, make_leaf(r));
 
   // Pairwise tree order.
   auto t01 = make_leaf(0);
-  t01.merge_from(make_leaf(1));
+  merge(t01, make_leaf(1));
   auto t23 = make_leaf(2);
-  t23.merge_from(make_leaf(3));
+  merge(t23, make_leaf(3));
   auto t45 = make_leaf(4);
-  t45.merge_from(make_leaf(5));
-  t01.merge_from(std::move(t23));
-  t01.merge_from(std::move(t45));
+  merge(t45, make_leaf(5));
+  merge(t01, std::move(t23));
+  merge(t01, std::move(t45));
 
   EXPECT_EQ(left.size(), t01.size());
   for (const auto& e : left.entries()) {
@@ -179,8 +187,8 @@ TEST(BoundedFpSet, FrequencyContentIsMergeOrderIndependent) {
 
 TEST(BoundedFpSet, PruneSingletonsKeepsOnlySharedEntries) {
   auto a = leaf(64, 3, 4, 0, {1, 2, 3});
-  a.merge_from(leaf(64, 3, 4, 1, {2, 3}));
-  a.merge_from(leaf(64, 3, 4, 2, {3}));
+  merge(a, leaf(64, 3, 4, 1, {2, 3}));
+  merge(a, leaf(64, 3, 4, 2, {3}));
   EXPECT_EQ(a.prune_singletons(), 1u);  // fp 1 had freq 1
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.find(fp(1)), nullptr);
@@ -192,7 +200,7 @@ TEST(BoundedFpSet, PruneSingletonsKeepsOnlySharedEntries) {
 
 TEST(BoundedFpSet, SerializationRoundTrip) {
   auto a = leaf(16, 3, 4, 0, {1, 2});
-  a.merge_from(leaf(16, 3, 4, 1, {2, 3}));
+  merge(a, leaf(16, 3, 4, 1, {2, 3}));
 
   const auto bytes = simmpi::to_bytes(a);
   const auto b = simmpi::from_bytes<BoundedFpSet>(bytes);
@@ -211,7 +219,7 @@ TEST(BoundedFpSet, CorruptArchivesThrow) {
   for (std::uint64_t i = 0; i < 40; ++i) {
     a.add_local(fp(i * 0x9E3779B97F4A7C15ull), static_cast<int>(i % 4));
   }
-  a.merge_from(leaf(64, 3, 4, 1, {7, 8, 9}));
+  merge(a, leaf(64, 3, 4, 1, {7, 8, 9}));
   const auto bytes = simmpi::to_bytes(a);
 
   // Truncated anywhere: the decoder runs out of bytes and says so.
@@ -266,7 +274,7 @@ TEST(BoundedFpSet, LoadBalancingSpreadsDesignations) {
     return s;
   };
   auto acc = make_leaf(0);
-  for (int r = 1; r < kRanks; ++r) acc.merge_from(make_leaf(r));
+  for (int r = 1; r < kRanks; ++r) merge(acc, make_leaf(r));
 
   const auto load = acc.rank_load();
   const std::uint32_t total = load[0] + load[1] + load[2] + load[3];

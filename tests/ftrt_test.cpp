@@ -46,32 +46,38 @@ TEST(TrackedArena, SnapshotCoalescesAdjacentPages) {
   EXPECT_EQ(ds.total_bytes(), 256u * 4);
 }
 
-TEST(TrackedArena, DeallocateSplitsSnapshot) {
-  TrackedArena arena(256, 16);
-  const auto a = arena.allocate(256);
-  const auto b = arena.allocate(256);
-  const auto c = arena.allocate(256);
-  (void)a;
-  (void)c;
-  arena.deallocate(b);
+TEST(TrackedArena, FirstFitFillsEarlierBlockTails) {
+  TrackedArena arena(256, 4);
+  const auto a = arena.allocate(256 * 3);  // block 0: 3 of 4 pages
+  const auto b = arena.allocate(256 * 2);  // does not fit: block 1
+  const auto c = arena.allocate(256);      // block 0's last page
+  EXPECT_EQ(c.data(), a.data() + 256 * 3);
   const auto ds = arena.snapshot();
-  EXPECT_EQ(ds.segment_count(), 2u);
-  EXPECT_EQ(ds.total_bytes(), 512u);
-  EXPECT_EQ(arena.live_pages(), 2u);
+  ASSERT_EQ(ds.segment_count(), 2u);  // one segment per non-empty block
+  EXPECT_EQ(ds.segment(0).data(), a.data());
+  EXPECT_EQ(ds.segment(0).size(), 256u * 4);
+  EXPECT_EQ(ds.segment(1).data(), b.data());
+  EXPECT_EQ(ds.segment(1).size(), 256u * 2);
 }
 
-TEST(TrackedArena, FreedPagesAreReused) {
-  TrackedArena arena(256, 4);
-  const auto a = arena.allocate(256 * 2);
-  std::fill(a.begin(), a.end(), std::uint8_t{0xA5});
-  arena.deallocate(a);
-  const auto b = arena.allocate(256 * 2);
-  EXPECT_EQ(a.data(), b.data());
-  EXPECT_EQ(arena.live_pages(), 2u);
-  // A reused page comes back zeroed, like a fresh one: callers (and a
-  // block allocation that skips zero-filling) rely on carve() for that.
-  EXPECT_TRUE(std::all_of(b.begin(), b.end(),
-                          [](std::uint8_t x) { return x == 0; }));
+TEST(TrackedArena, PagesAreZeroedOverRecycledHeapMemory) {
+  // Blocks are allocated uninitialized, so carve() alone zeroes what it
+  // hands out.  A block that lands on heap memory a destroyed arena had
+  // dirtied (the allocator recycles same-size frees) must read as zeros.
+  for (int round = 0; round < 4; ++round) {
+    {
+      TrackedArena dirty(64, 4);
+      const auto region = dirty.allocate(64 * 4);
+      std::fill(region.begin(), region.end(), std::uint8_t{0xA5});
+    }
+    TrackedArena arena(64, 4);
+    const auto a = arena.allocate(64);
+    const auto b = arena.allocate(64 * 3);
+    EXPECT_TRUE(std::all_of(a.begin(), a.end(),
+                            [](std::uint8_t x) { return x == 0; }));
+    EXPECT_TRUE(std::all_of(b.begin(), b.end(),
+                            [](std::uint8_t x) { return x == 0; }));
+  }
 }
 
 TEST(TrackedArena, OversizedAllocationGetsDedicatedBlock) {
@@ -79,19 +85,6 @@ TEST(TrackedArena, OversizedAllocationGetsDedicatedBlock) {
   const auto big = arena.allocate(256 * 10);
   EXPECT_EQ(big.size(), 2560u);
   EXPECT_EQ(arena.live_pages(), 10u);
-}
-
-TEST(TrackedArena, DoubleFreeDetected) {
-  TrackedArena arena(256, 4);
-  const auto a = arena.allocate(256);
-  arena.deallocate(a);
-  EXPECT_THROW(arena.deallocate(a), std::invalid_argument);
-}
-
-TEST(TrackedArena, ForeignRegionRejected) {
-  TrackedArena arena(256, 4);
-  std::vector<std::uint8_t> foreign(256);
-  EXPECT_THROW(arena.deallocate(foreign), std::invalid_argument);
 }
 
 TEST(TrackedArena, SnapshotSeesMutations) {
@@ -207,8 +200,6 @@ TEST(CheckpointRuntime, RestartAfterInjectedFailures) {
     EXPECT_EQ(restored.segments[0], images[static_cast<std::size_t>(r)]);
   }
 
-  FailureInjector::heal_all(ptrs);
-  for (const auto* s : ptrs) EXPECT_FALSE(s->failed());
 }
 
 TEST(CheckpointRuntime, TooManyFailuresIsDetectedNotSilent) {
@@ -245,7 +236,7 @@ TEST(FailureInjectorTest, KillsDistinctStoresDeterministically) {
   std::set<int> uniq(victims_a.begin(), victims_a.end());
   EXPECT_EQ(uniq.size(), 3u);
 
-  FailureInjector::heal_all(ptrs);
+  for (auto* s : ptrs) s->recover();
   FailureInjector b(7);
   EXPECT_EQ(b.kill_stores(ptrs, 3), victims_a);  // same seed, same victims
 }

@@ -156,6 +156,57 @@ TEST(HealthSet, RandomTreeMergesMatchMapOracle) {
   }
 }
 
+hash::Fingerprint fp_with_prefix(std::uint64_t prefix, std::uint8_t tail) {
+  std::uint8_t digest[hash::Fingerprint::kBytes] = {};
+  for (int i = 0; i < 8; ++i) {
+    digest[i] = static_cast<std::uint8_t>(prefix >> (56 - 8 * i));
+  }
+  digest[19] = tail;
+  return hash::Fingerprint(digest);
+}
+
+TEST(HealthSet, PrefixCollisionsFallBackAndMergeCorrectly) {
+  // Fingerprints sharing their first 8 bytes defeat the 64-bit planning
+  // keys.  Within one input they force plan_merge's full-fingerprint
+  // pass; across inputs the kernel plans a match that merge_flat must
+  // split back into two entries.  Either way the merge matches the oracle.
+  constexpr int kK = 3;
+  for (const bool collide_within : {true, false}) {
+    ReplicaHealthSet a(kK);
+    ReplicaHealthSet b(kK);
+    Oracle oracle;
+    const auto add = [&](ReplicaHealthSet& s, const hash::Fingerprint& fp,
+                         int rank) {
+      s.add_local(fp, length_of(fp), rank);
+      OracleEntry& o = oracle[fp];
+      o.count += 1;
+      o.length = length_of(fp);
+      o.holders.push_back(rank);  // rank 0 is added first
+    };
+    // Distinct-prefix background so the planned path has real work.
+    for (std::uint64_t i = 0; i < 30; ++i) {
+      add(a, fp_with_prefix(i * 11 + 1, 0), 0);
+      if (i % 3 != 0) add(b, fp_with_prefix(i * 11 + 1, 0), 1);
+      add(b, fp_with_prefix(i * 11 + 5, 0), 1);
+    }
+    if (collide_within) {
+      add(a, fp_with_prefix(500, 1), 0);
+      add(a, fp_with_prefix(500, 2), 0);
+      add(b, fp_with_prefix(500, 2), 1);
+    } else {
+      // Cross-input-only collision: equal planning keys, unequal digests.
+      add(a, fp_with_prefix(500, 1), 0);
+      add(b, fp_with_prefix(500, 2), 1);
+      // And one genuine cross-input duplicate for contrast.
+      add(a, fp_with_prefix(600, 7), 0);
+      add(b, fp_with_prefix(600, 7), 1);
+    }
+    const std::size_t incoming = b.size();
+    EXPECT_EQ(a.merge_from(std::move(b)), incoming) << collide_within;
+    expect_matches_oracle(a, oracle, kK, collide_within ? 1 : 0);
+  }
+}
+
 TEST(HealthSet, EmptyAndSingletonSets) {
   ReplicaHealthSet empty(3);
   EXPECT_EQ(empty.size(), 0u);

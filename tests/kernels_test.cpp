@@ -440,10 +440,11 @@ TEST(KernelsHmerge, UnalignedCountsRandomized) {
 // Reference model: the pre-flat map-backed implementation's semantics,
 // transcribed over std::map.  Shares nothing with the production code.
 struct RefModel {
+  using Entry = std::pair<std::uint32_t, std::vector<std::int32_t>>;
+
   std::uint32_t f_cap;
   int k;
-  std::map<hash::Fingerprint, std::pair<std::uint32_t,
-                                        std::vector<std::int32_t>>> entries;
+  std::map<hash::Fingerprint, Entry> entries;  // fp -> (freq, ranks)
   std::vector<std::uint32_t> load;
 
   RefModel(std::uint32_t f, int kk, int nranks)
@@ -491,24 +492,37 @@ struct RefModel {
     }
   }
 
-  core::MergeStats merge_from(RefModel&& other) {
+  // K-way HMERGE over the map: the inputs' entries grouped by fingerprint
+  // (std::map: fp ascending).  A fingerprint held by several inputs sums
+  // its frequencies, unions its ranks and is truncated to K once, against
+  // the loads of all inputs combined; F is enforced once at the end.
+  core::MergeStats merge_many(std::vector<RefModel>&& others) {
     core::MergeStats stats;
-    for (std::size_t i = 0; i < load.size(); ++i) load[i] += other.load[i];
-    for (auto& [fp, incoming] : other.entries) {  // std::map: fp ascending
-      ++stats.entries_scanned;
-      auto it = entries.find(fp);
-      if (it == entries.end()) {
-        entries.emplace(fp, std::move(incoming));
+    std::map<hash::Fingerprint, std::vector<Entry>> groups;
+    for (auto& [fp, e] : entries) groups[fp].push_back(std::move(e));
+    for (RefModel& o : others) {
+      stats.entries_scanned += o.entries.size();
+      for (std::size_t i = 0; i < load.size(); ++i) load[i] += o.load[i];
+      for (auto& [fp, e] : o.entries) groups[fp].push_back(std::move(e));
+    }
+    entries.clear();
+    for (auto& [fp, group] : groups) {
+      if (group.size() == 1) {
+        entries.emplace(fp, std::move(group.front()));
         continue;
       }
-      it->second.first += incoming.first;
-      std::vector<std::int32_t> merged;
-      std::merge(it->second.second.begin(), it->second.second.end(),
-                 incoming.second.begin(), incoming.second.end(),
-                 std::back_inserter(merged));
-      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
-      it->second.second = std::move(merged);
-      truncate_ranks(it->second.second, stats);
+      Entry merged{0u, {}};
+      for (const Entry& e : group) {
+        merged.first += e.first;
+        merged.second.insert(merged.second.end(), e.second.begin(),
+                             e.second.end());
+      }
+      std::sort(merged.second.begin(), merged.second.end());
+      merged.second.erase(
+          std::unique(merged.second.begin(), merged.second.end()),
+          merged.second.end());
+      truncate_ranks(merged.second, stats);
+      entries.emplace(fp, std::move(merged));
     }
     truncate_to_f(stats);
     return stats;
@@ -548,39 +562,67 @@ void expect_equivalent(const core::BoundedFpSet& flat, const RefModel& ref) {
   EXPECT_TRUE(flat.check_invariants());
 }
 
+// One-child HMERGE: merge_many with a single child, the pairwise step of a
+// reduction tree.
+core::MergeStats merge_one(core::BoundedFpSet& acc, core::BoundedFpSet child) {
+  std::vector<core::BoundedFpSet> children;
+  children.push_back(std::move(child));
+  return acc.merge_many(std::move(children));
+}
+
+// Random per-rank leaves over a universe of u64-derived fingerprints, each
+// built twice: as the production set and as the map model.
+struct Leaves {
+  std::vector<core::BoundedFpSet> flat;
+  std::vector<RefModel> ref;
+};
+
+Leaves random_leaves(std::mt19937_64& rng, std::uint32_t f, int k,
+                     int nranks, std::uint64_t universe,
+                     std::uint64_t stride) {
+  Leaves out;
+  for (int rank = 0; rank < nranks; ++rank) {
+    core::BoundedFpSet leaf_flat(f, k, nranks);
+    RefModel leaf_ref(f, k, nranks);
+    for (std::uint64_t id = 0; id < universe; ++id) {
+      if (rng() % 2 == 0) continue;
+      leaf_flat.add_local(hash::Fingerprint::from_u64(id * stride), rank);
+      leaf_ref.add_local(hash::Fingerprint::from_u64(id * stride), rank);
+    }
+    leaf_flat.enforce_f();
+    core::MergeStats ref_enforce;
+    leaf_ref.truncate_to_f(ref_enforce);
+    out.flat.push_back(std::move(leaf_flat));
+    out.ref.push_back(std::move(leaf_ref));
+  }
+  return out;
+}
+
 TEST(KernelsFpSet, FlatMergeMatchesMapReferenceRandomized) {
+  // Folds the leaves into the first one with one child per merge (even
+  // trials) or a random fan-in of 1-4 (odd trials, like the reduction
+  // tree's interior nodes), tight F and K bounds included.
   std::mt19937_64 rng(0xC0FFEE07);
   for (int trial = 0; trial < 30; ++trial) {
     const int nranks = 2 + static_cast<int>(rng() % 7);
     const int k = 1 + static_cast<int>(rng() % 4);
     const std::uint32_t f = 1 + static_cast<std::uint32_t>(rng() % 24);
     const std::uint64_t universe = 1 + rng() % 40;
+    Leaves leaves = random_leaves(rng, f, k, nranks, universe, 0x9E3779B9u);
 
-    core::BoundedFpSet flat(f, k, nranks);
-    RefModel ref(f, k, nranks);
-    bool first = true;
-    for (int rank = 0; rank < nranks; ++rank) {
-      core::BoundedFpSet leaf_flat(f, k, nranks);
-      RefModel leaf_ref(f, k, nranks);
-      // A random subset of the fingerprint universe on this rank.
-      for (std::uint64_t id = 0; id < universe; ++id) {
-        if (rng() % 2 == 0) continue;
-        leaf_flat.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
-                            rank);
-        leaf_ref.add_local(hash::Fingerprint::from_u64(id * 0x9E3779B9u),
-                           rank);
+    core::BoundedFpSet flat = std::move(leaves.flat[0]);
+    RefModel ref = std::move(leaves.ref[0]);
+    for (std::size_t next = 1; next < leaves.flat.size();) {
+      const std::size_t fan_in = trial % 2 == 0 ? 1 : 1 + rng() % 4;
+      const std::size_t end = std::min(leaves.flat.size(), next + fan_in);
+      std::vector<core::BoundedFpSet> flat_children;
+      std::vector<RefModel> ref_children;
+      for (; next < end; ++next) {
+        flat_children.push_back(std::move(leaves.flat[next]));
+        ref_children.push_back(std::move(leaves.ref[next]));
       }
-      leaf_flat.enforce_f();
-      core::MergeStats ref_enforce;
-      leaf_ref.truncate_to_f(ref_enforce);
-      if (first) {
-        flat = std::move(leaf_flat);
-        ref = std::move(leaf_ref);
-        first = false;
-        continue;
-      }
-      const auto fs = flat.merge_from(std::move(leaf_flat));
-      const auto rs = ref.merge_from(std::move(leaf_ref));
+      const auto fs = flat.merge_many(std::move(flat_children));
+      const auto rs = ref.merge_many(std::move(ref_children));
       EXPECT_EQ(fs.entries_scanned, rs.entries_scanned) << trial;
       EXPECT_EQ(fs.entries_dropped_f, rs.entries_dropped_f) << trial;
       EXPECT_EQ(fs.ranks_dropped_load, rs.ranks_dropped_load) << trial;
@@ -616,7 +658,7 @@ TEST(KernelsFpSet, ArchiveRoundTripPreservesContentAndIsCanonical) {
       if (rank == 0) {
         acc = std::move(leaf);
       } else {
-        acc.merge_from(std::move(leaf));
+        merge_one(acc, std::move(leaf));
       }
     }
 
@@ -655,62 +697,6 @@ TEST(KernelsFpSet, DeltaArchiveIsCompact) {
   EXPECT_LT(bytes.size(), 1000 * 20);
 }
 
-hash::Fingerprint fp_with_prefix(std::uint64_t prefix, std::uint8_t tail) {
-  std::uint8_t digest[20] = {};
-  for (int i = 0; i < 8; ++i) {
-    digest[i] = static_cast<std::uint8_t>(prefix >> (56 - 8 * i));
-  }
-  digest[19] = tail;
-  return hash::Fingerprint(digest);
-}
-
-TEST(KernelsFpSet, PrefixCollisionsFallBackAndMergeCorrectly) {
-  // Fingerprints sharing their first 8 bytes defeat the 64-bit planning
-  // keys.  Within one input they force the full-fingerprint scalar path;
-  // across inputs they exercise the kernel path's false-match
-  // verification.  Either way the result must match the reference model.
-  struct Case {
-    bool collide_within;  // both colliding fps on one side
-    const char* label;
-  };
-  for (const Case c : {Case{true, "within"}, Case{false, "across"}}) {
-    const int nranks = 4;
-    core::BoundedFpSet a(64, 3, nranks);
-    core::BoundedFpSet b(64, 3, nranks);
-    RefModel ra(64, 3, nranks);
-    RefModel rb(64, 3, nranks);
-    const auto add = [&](core::BoundedFpSet& s, RefModel& r,
-                         const hash::Fingerprint& fp, int rank) {
-      s.add_local(fp, rank);
-      r.add_local(fp, rank);
-    };
-    // Distinct-prefix background so the planned path has real work.
-    for (std::uint64_t i = 0; i < 30; ++i) {
-      add(a, ra, fp_with_prefix(i * 11 + 1, 0), 0);
-      if (i % 3 != 0) add(b, rb, fp_with_prefix(i * 11 + 1, 0), 1);
-      add(b, rb, fp_with_prefix(i * 11 + 5, 0), 1);
-    }
-    if (c.collide_within) {
-      add(a, ra, fp_with_prefix(500, 1), 0);
-      add(a, ra, fp_with_prefix(500, 2), 0);
-      add(b, rb, fp_with_prefix(500, 2), 1);
-    } else {
-      // Cross-input-only collision: equal planning keys, unequal digests.
-      add(a, ra, fp_with_prefix(500, 1), 0);
-      add(b, rb, fp_with_prefix(500, 2), 1);
-      // And one genuine cross-input duplicate for contrast.
-      add(a, ra, fp_with_prefix(600, 7), 0);
-      add(b, rb, fp_with_prefix(600, 7), 1);
-    }
-    a.enforce_f();
-    b.enforce_f();
-    const auto fs = a.merge_from(std::move(b));
-    const auto rs = ra.merge_from(std::move(rb));
-    EXPECT_EQ(fs.entries_scanned, rs.entries_scanned) << c.label;
-    expect_equivalent(a, ra);
-  }
-}
-
 TEST(KernelsFpSet, RankListsSaturateAtK) {
   // Every rank holds the same universe: after folding all leaves each
   // fingerprint has nranks holders but only K designated ranks, and the
@@ -727,7 +713,7 @@ TEST(KernelsFpSet, RankListsSaturateAtK) {
     if (rank == 0) {
       acc = std::move(leaf);
     } else {
-      acc.merge_from(std::move(leaf));
+      merge_one(acc, std::move(leaf));
     }
   }
   ASSERT_EQ(acc.size(), 50u);
@@ -744,32 +730,23 @@ TEST(KernelsFpSet, RankListsSaturateAtK) {
 }
 
 TEST(KernelsFpSet, KwayMatchesIteratedPairwiseWhenBoundsAreSlack) {
-  // With F and K loose enough that no truncation fires, the k-way merge
-  // must reproduce iterated pairwise merges exactly.
+  // With F and K loose enough that no truncation fires, one k-way merge
+  // must reproduce a chain of one-child merges exactly, and both the map
+  // model's k-way merge.
   std::mt19937_64 rng(0xC0FFEE0A);
   for (int trial = 0; trial < 10; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 5);
     const std::uint32_t f = 4096;  // never binds
     const int k = nranks;          // never binds
-    std::vector<core::BoundedFpSet> leaves;
-    for (int rank = 0; rank < nranks; ++rank) {
-      core::BoundedFpSet leaf(f, k, nranks);
-      for (std::uint64_t id = 0; id < 60; ++id) {
-        if (rng() % 2 == 0) continue;
-        leaf.add_local(hash::Fingerprint::from_u64(id * 0x2545F491u), rank);
-      }
-      leaf.enforce_f();
-      leaves.push_back(std::move(leaf));
-    }
-    auto pairwise = leaves[0];
+    Leaves leaves = random_leaves(rng, f, k, nranks, 60, 0x2545F491u);
+    auto pairwise = leaves.flat[0];
     std::uint64_t scanned_pairwise = 0;
-    for (std::size_t i = 1; i < leaves.size(); ++i) {
-      auto copy = leaves[i];
-      scanned_pairwise += pairwise.merge_from(std::move(copy)).entries_scanned;
+    for (std::size_t i = 1; i < leaves.flat.size(); ++i) {
+      scanned_pairwise += merge_one(pairwise, leaves.flat[i]).entries_scanned;
     }
-    auto kway = std::move(leaves[0]);
-    leaves.erase(leaves.begin());
-    const auto ks = kway.merge_many(std::move(leaves));
+    auto kway = std::move(leaves.flat[0]);
+    leaves.flat.erase(leaves.flat.begin());
+    const auto ks = kway.merge_many(std::move(leaves.flat));
     EXPECT_EQ(ks.entries_scanned, scanned_pairwise) << trial;
     ASSERT_EQ(kway.size(), pairwise.size()) << trial;
     const auto we = pairwise.entries();
@@ -782,7 +759,11 @@ TEST(KernelsFpSet, KwayMatchesIteratedPairwiseWhenBoundsAreSlack) {
       EXPECT_EQ(std::vector<std::int32_t>(rg.begin(), rg.end()),
                 std::vector<std::int32_t>(rw.begin(), rw.end()));
     }
-    EXPECT_TRUE(kway.check_invariants());
+    RefModel ref = std::move(leaves.ref[0]);
+    leaves.ref.erase(leaves.ref.begin());
+    const auto rs = ref.merge_many(std::move(leaves.ref));
+    EXPECT_EQ(rs.entries_scanned, ks.entries_scanned) << trial;
+    expect_equivalent(kway, ref);
   }
 }
 

@@ -1,6 +1,5 @@
-// Multi-level checkpointing: PFS store semantics, aggregate-bandwidth
-// timing (the paper's motivation), level schedule, and cross-level
-// restore preference/fallback.
+// The decoupled PFS: store semantics, the pfs_dump/pfs_restore round
+// trip, and aggregate-bandwidth timing (the paper's motivation).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,11 +12,7 @@
 namespace {
 
 using namespace collrep;
-using ftrt::CheckpointLevel;
-using ftrt::MultiLevelCheckpoint;
-using ftrt::MultiLevelConfig;
 using ftrt::PfsStore;
-using ftrt::TrackedArena;
 
 std::vector<std::uint8_t> rank_data(int rank, std::size_t bytes) {
   std::vector<std::uint8_t> data(bytes);
@@ -116,93 +111,6 @@ TEST(PfsDump, AggregateBandwidthDoesNotScale) {
   EXPECT_GT(t16 - t8, 0.8 * expected_delta);
   // Allow ~1 ms on top for the log(N) growth of barrier/allreduce latency.
   EXPECT_LT(t16 - t8, expected_delta + 1e-3);
-}
-
-TEST(MultiLevel, ScheduleFiresHighestDueLevel) {
-  constexpr int kRanks = 4;
-  PfsStore pfs;
-  std::vector<chunk::ChunkStore> stores(kRanks);
-  std::vector<int> l1(kRanks, 0), l2(kRanks, 0), l3(kRanks, 0);
-  simmpi::Runtime rt(kRanks);
-  rt.run([&](simmpi::Comm& comm) {
-    const int r = comm.rank();
-    TrackedArena arena(256, 16);
-    auto region = arena.allocate(1024);
-    std::memset(region.data(), r + 1, region.size());
-
-    MultiLevelConfig cfg;
-    cfg.dump.chunk_bytes = 256;
-    cfg.replication_factor = 2;
-    cfg.l1_interval = 5;
-    cfg.l2_interval = 20;
-    cfg.l3_interval = 60;
-    MultiLevelCheckpoint ml(comm, stores[static_cast<std::size_t>(r)], pfs,
-                            arena, cfg);
-    for (int iter = 1; iter <= 60; ++iter) {
-      const auto stats = ml.maybe_checkpoint(iter);
-      switch (stats.level) {
-        case CheckpointLevel::kL1:
-          ++l1[static_cast<std::size_t>(r)];
-          break;
-        case CheckpointLevel::kL2:
-          ++l2[static_cast<std::size_t>(r)];
-          break;
-        case CheckpointLevel::kL3:
-          ++l3[static_cast<std::size_t>(r)];
-          break;
-        case CheckpointLevel::kNone:
-          break;
-      }
-    }
-  });
-  // 60 iterations: L1 at 5,10,...,55 minus the L2/L3 overlaps; L2 at
-  // 20, 40; L3 at 60.
-  for (int r = 0; r < kRanks; ++r) {
-    EXPECT_EQ(l1[static_cast<std::size_t>(r)], 9);
-    EXPECT_EQ(l2[static_cast<std::size_t>(r)], 2);
-    EXPECT_EQ(l3[static_cast<std::size_t>(r)], 1);
-  }
-}
-
-TEST(MultiLevel, RestoreFallsBackAcrossLevels) {
-  constexpr int kRanks = 4;
-  PfsStore pfs;
-  std::vector<chunk::ChunkStore> stores(kRanks);
-  std::vector<std::vector<std::uint8_t>> images(kRanks);
-
-  simmpi::Runtime rt(kRanks);
-  rt.run([&](simmpi::Comm& comm) {
-    const int r = comm.rank();
-    TrackedArena arena(256, 16);
-    auto region = arena.allocate(2048);
-    for (std::size_t i = 0; i < region.size(); ++i) {
-      region[i] = static_cast<std::uint8_t>(i * 11 + 101 * (r + 1));
-    }
-    MultiLevelConfig cfg;
-    cfg.dump.chunk_bytes = 256;
-    cfg.replication_factor = 2;
-    cfg.l1_interval = 1;
-    cfg.l2_interval = 2;
-    cfg.l3_interval = 3;
-    MultiLevelCheckpoint ml(comm, stores[static_cast<std::size_t>(r)], pfs,
-                            arena, cfg);
-    for (int iter = 1; iter <= 3; ++iter) (void)ml.maybe_checkpoint(iter);
-    images[static_cast<std::size_t>(r)].assign(region.begin(), region.end());
-
-    std::vector<chunk::ChunkStore*> ptrs;
-    for (auto& s : stores) ptrs.push_back(&s);
-    // Level 1/2 healthy: restore serves from replication.
-    const auto healthy = ml.restore_latest(ptrs);
-    EXPECT_EQ(healthy.segments.at(0), images[static_cast<std::size_t>(r)]);
-    comm.barrier();
-    // Catastrophe: every local store dies; only the PFS survives.
-    if (r == 0) {
-      for (auto* s : ptrs) s->fail();
-    }
-    comm.barrier();
-    const auto from_pfs = ml.restore_latest(ptrs);
-    EXPECT_EQ(from_pfs.segments.at(0), images[static_cast<std::size_t>(r)]);
-  });
 }
 
 }  // namespace

@@ -85,18 +85,15 @@ class PlanCollectiveTest : public ::testing::Test {
   static BoundedFpSet view_with(const Workload& w, std::size_t u,
                                 std::initializer_list<int> holders) {
     const auto& fp = w.local.chunk_fps[w.local.unique_chunks[u]];
-    bool first = true;
-    BoundedFpSet acc(1024, kK, kRanks);
+    std::vector<BoundedFpSet> leaves;
     for (int h : holders) {
       BoundedFpSet leaf(1024, kK, kRanks);
       leaf.add_local(fp, h);
-      if (first) {
-        acc = std::move(leaf);
-        first = false;
-      } else {
-        acc.merge_from(std::move(leaf));
-      }
+      leaves.push_back(std::move(leaf));
     }
+    BoundedFpSet acc = std::move(leaves.front());
+    leaves.erase(leaves.begin());
+    acc.merge_many(std::move(leaves));
     return acc;
   }
 };
@@ -188,9 +185,10 @@ TEST_F(PlanCollectiveTest, AvoidanceWorksInMinimalRing) {
   const auto& fp = w.local.chunk_fps[w.local.unique_chunks[0]];
   BoundedFpSet l0(1024, 3, 3);
   l0.add_local(fp, 0);
-  BoundedFpSet l1(1024, 3, 3);
-  l1.add_local(fp, 1);
-  l0.merge_from(std::move(l1));  // D = 2, extras = 1
+  std::vector<BoundedFpSet> l1;
+  l1.emplace_back(1024, 3, 3);
+  l1.back().add_local(fp, 1);
+  l0.merge_many(std::move(l1));  // D = 2, extras = 1
 
   const auto shuffle = core::identity_shuffle(3);
   const auto pos = core::invert_shuffle(shuffle);

@@ -268,7 +268,10 @@ TEST(Runtime, ReusableForSequentialRuns) {
 }
 
 TEST(Window, EpochBytesRecvCountedAtFenceDelivery) {
-  simmpi::Runtime rt(3);
+  obs::Telemetry telemetry;
+  simmpi::RuntimeOptions opts;
+  opts.telemetry = &telemetry;
+  simmpi::Runtime rt(3, opts);
   rt.run([&](simmpi::Comm& comm) {
     auto win = comm.win_create(256);
     // Rank 0 sends 32 modeled bytes to rank 1 and 64 (16 real standing in
@@ -284,13 +287,19 @@ TEST(Window, EpochBytesRecvCountedAtFenceDelivery) {
     const std::uint64_t expected =
         comm.rank() == 1 ? 32u : (comm.rank() == 2 ? 64u : 0u);
     EXPECT_EQ(comm.epoch_bytes_recv(), expected);
-    EXPECT_EQ(comm.epoch_bytes_put(), 0u);  // put tally reset by the fence
 
     // An empty follow-up epoch overwrites the reading with 0.
     win.fence();
     EXPECT_EQ(comm.epoch_bytes_recv(), 0u);
     win.free();
   });
+  // Each fence event carries its epoch's modeled put bytes: rank 0's first
+  // fence closes 32 + 64, and the fence resets the tally for the next.
+  std::vector<std::uint64_t> put_tallies;
+  for (const auto& ev : telemetry.rank(0).trace.snapshot()) {
+    if (ev.kind == obs::EventKind::kFence) put_tallies.push_back(ev.a);
+  }
+  EXPECT_EQ(put_tallies, (std::vector<std::uint64_t>{96, 0}));
 }
 
 TEST(Window, EpochBytesRecvResetsPerEpoch) {

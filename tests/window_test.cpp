@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "obs/telemetry.hpp"
 #include "simmpi/comm.hpp"
 #include "simmpi/runtime.hpp"
 
@@ -114,8 +115,10 @@ TEST(Window, FenceAdvancesClockByEpochBytes) {
 }
 
 TEST(Window, ModeledBytesOverrideDrivesCost) {
+  obs::Telemetry telemetry;
   simmpi::RuntimeOptions opts;
   opts.cluster.ranks_per_node = 1;
+  opts.telemetry = &telemetry;
   simmpi::Runtime rt(2, opts);
   std::vector<double> elapsed(2, 0.0);
   rt.run([&](simmpi::Comm& comm) {
@@ -125,14 +128,19 @@ TEST(Window, ModeledBytesOverrideDrivesCost) {
       const std::vector<std::uint8_t> tiny(16, 1);
       // 16 real bytes standing in for 4 MiB on the wire.
       win.put(1, 0, tiny, 4ull << 20);
-      EXPECT_EQ(comm.epoch_bytes_put(), 4ull << 20);
     }
     win.fence();
     elapsed[static_cast<std::size_t>(comm.rank())] =
         comm.clock().now() - before;
-    EXPECT_EQ(comm.epoch_bytes_put(), 0u);  // reset by the fence
     win.free();
   });
+  // The epoch's put tally, which rank 0's fence event carries, counts the
+  // modeled bytes, not the 16 real ones.
+  std::vector<std::uint64_t> put_tallies;
+  for (const auto& ev : telemetry.rank(0).trace.snapshot()) {
+    if (ev.kind == obs::EventKind::kFence) put_tallies.push_back(ev.a);
+  }
+  EXPECT_EQ(put_tallies, std::vector<std::uint64_t>{4ull << 20});
   EXPECT_GE(elapsed[1],
             static_cast<double>(4ull << 20) / opts.cluster.net_bandwidth_bps *
                 0.99);
